@@ -1,7 +1,6 @@
 """Corpus accuracy/latency benchmark and the committed floor gate.
 
-The pytest leg runs a small fixed corpus through both kernels and
-regenerates the EXPERIMENTS.md accuracy table (rank-of-true-fault and
+The pytest leg runs a small fixed corpus and regenerates the EXPERIMENTS.md accuracy table (rank-of-true-fault and
 latency percentiles per scenario class).  The module entry point runs
 the same recipe the CI smoke gate uses and, under
 ``REPRO_BENCH_STRICT=1``, enforces the committed accuracy floor:
@@ -28,26 +27,22 @@ PER_CLASS = 8
 
 
 def format_table(report):
-    lines = []
-    stats = report.stats()
-    for kernel in sorted(stats):
-        lines.append(f"kernel {kernel}:")
-        lines.append(f"  {'class':<20}{'n':>5}{'top1':>7}{'top3':>7}{'top5':>7}"
-                     f"{'mrank':>7}{'lowdeg':>8}{'p50ms':>8}{'p95ms':>8}")
-        classes = stats[kernel]
-        ordered = sorted(c for c in classes if c != "overall") + ["overall"]
-        for name in ordered:
-            acc = classes[name].accuracy_dict()
-            lat = classes[name].latency_dict()
-            mean_rank = acc["mean_rank"]
-            lines.append(
-                f"  {name:<20}{acc['n']:>5}"
-                f"{acc.get('top1', 0.0):>7.3f}{acc.get('top3', 0.0):>7.3f}"
-                f"{acc.get('top5', 0.0):>7.3f}"
-                f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>7}"
-                f"{acc['low_degree_rate']:>8.3f}"
-                f"{lat['p50_ms']:>8.1f}{lat['p95_ms']:>8.1f}"
-            )
+    lines = [f"  {'class':<20}{'n':>5}{'top1':>7}{'top3':>7}{'top5':>7}"
+             f"{'mrank':>7}{'lowdeg':>8}{'p50ms':>8}{'p95ms':>8}"]
+    classes = report.stats()
+    ordered = sorted(c for c in classes if c != "overall") + ["overall"]
+    for name in ordered:
+        acc = classes[name].accuracy_dict()
+        lat = classes[name].latency_dict()
+        mean_rank = acc["mean_rank"]
+        lines.append(
+            f"  {name:<20}{acc['n']:>5}"
+            f"{acc.get('top1', 0.0):>7.3f}{acc.get('top3', 0.0):>7.3f}"
+            f"{acc.get('top5', 0.0):>7.3f}"
+            f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>7}"
+            f"{acc['low_degree_rate']:>8.3f}"
+            f"{lat['p50_ms']:>8.1f}{lat['p95_ms']:>8.1f}"
+        )
     return "\n".join(lines)
 
 
@@ -60,14 +55,12 @@ class TestCorpusAccuracy:
         report = run_corpus(manifest, workers=2, executor="thread")
         emit("corpus-accuracy", format_table(report))
 
-        table = report.to_dict()["kernels"]
-        assert table["reference"] == table["fast"], "kernel accuracy tables diverge"
-        for kernel, classes in table.items():
-            assert classes["overall"]["accuracy"]["failures"] == 0
-            assert classes["intermittent"]["accuracy"]["low_degree_rate"] == 1.0
-            assert classes["tolerance-stackup"]["accuracy"]["top1"] >= 0.75, (
-                f"{kernel}: stackup scenarios indicting certain culprits"
-            )
+        classes = report.to_dict()["classes"]
+        assert classes["overall"]["accuracy"]["failures"] == 0
+        assert classes["intermittent"]["accuracy"]["low_degree_rate"] == 1.0
+        assert classes["tolerance-stackup"]["accuracy"]["top1"] >= 0.75, (
+            "stackup scenarios indicting certain culprits"
+        )
 
 
 def main():  # pragma: no cover - manual entry point
@@ -112,7 +105,7 @@ def main():  # pragma: no cover - manual entry point
         for breach in breaches:
             print(f"FLOOR BREACH: {breach}")
         assert not breaches, f"{len(breaches)} floor breach(es)"
-        print("strict gate ok: committed accuracy floor holds on both kernels")
+        print("strict gate ok: committed accuracy floor holds")
 
 
 if __name__ == "__main__":  # pragma: no cover

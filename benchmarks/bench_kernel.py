@@ -2,13 +2,13 @@
 
 These time the substrates the paper's runtime claims rest on: fuzzy
 interval arithmetic, Dc evaluation, ATMS label propagation, weighted
-hitting sets, the DC simulator and one full diagnosis cycle — plus a
-reference-vs-fast kernel comparison on the repeated-measurement
-workloads the fast kernel was built for (the ``test_*_speedup`` cases
-double as the CI perf-regression guard: they fail when the fast kernel
-drops below 2x on the worklist workload).
+hitting sets, the DC simulator and one full diagnosis cycle — plus the
+propagator's change-tick skip timed against the no-skip oracle
+(``tests/kernel/oracle.py``) on repeated-measurement workloads (the
+``test_*_speedup`` case doubles as the CI perf-regression guard: it
+fails when the skip drops below 2x on the ladder workload).
 
-The module entry point runs just the kernel comparison and can write a
+The module entry point runs just the skip comparison and can write a
 machine-readable result for trend tracking:
 
     PYTHONPATH=src python -m benchmarks.bench_kernel --json-out BENCH_kernel.json
@@ -34,8 +34,9 @@ from repro.circuit.generators import resistor_ladder
 from repro.circuit.measurements import probe
 from repro.core import Flames
 from repro.core.predict import predict_nominal
-from repro.core.propagation import FuzzyPropagator, PropagatorConfig
+from repro.core.propagation import FuzzyPropagator
 from repro.fuzzy import FuzzyInterval, consistency, fuzzy_entropy
+from tests.kernel.oracle import NoSkipPropagator
 
 
 class TestFuzzyArithmetic:
@@ -136,8 +137,8 @@ def _measurement_stream(circuit, probes):
     network = ConstraintNetwork(circuit, False)
     nominal = predict_nominal(circuit)
 
-    def run(kernel):
-        prop = FuzzyPropagator(network, config=PropagatorConfig(kernel=kernel))
+    def run(propagator_cls):
+        prop = propagator_cls(network)
         for name, pred in nominal.items():
             if name in network.variables:
                 prop.set_value(name, pred.value, pred.support, source="prediction")
@@ -161,53 +162,29 @@ def _time(fn, *args, repeats=2):
 
 
 class TestKernelComparison:
-    """Reference vs fast kernel on the workloads the ISSUE targets.
+    """The change-tick skip against the no-skip oracle.
 
     The speedup assertion is deliberately below the typical figure
-    (~4x on the ladder) so it trips on real regressions — a fast kernel
-    slower than 2x the reference on its flagship workload is a bug —
-    without flaking on machine noise.
+    (~3.5x on the ladder) so it trips on real regressions — a skip
+    worth less than 2x on its flagship workload is a bug — without
+    flaking on machine noise.
     """
 
     def test_repeated_measurement_speedup(self, emit):
-        rows = []
-        for label, circuit, probes in (
-            ("ladder-40 x12 probes", resistor_ladder(40), 12),
-            ("three-stage x6 probes", three_stage_amplifier(), 6),
-        ):
-            run = _measurement_stream(circuit, probes)
-            run("fast")  # touch everything once so both timings are warm
-            ref = _time(run, "reference")
-            fast = _time(run, "fast")
-            rows.append((label, ref, fast))
-        table = ["kernel comparison — repeated-measurement propagation",
-                 f"{'workload':<26} {'reference':>10} {'fast':>9} {'speedup':>8}"]
-        for label, ref, fast in rows:
+        rows = run_comparison()
+        table = ["change-tick skip — repeated-measurement propagation",
+                 f"{'workload':<26} {'no-skip':>10} {'skip':>9} {'speedup':>8}"]
+        for row in rows:
             table.append(
-                f"{label:<26} {ref * 1000:>8.0f}ms {fast * 1000:>7.0f}ms "
-                f"{ref / fast:>7.2f}x"
+                f"{row['workload']:<26} {row['no_skip_ms']:>8.0f}ms "
+                f"{row['skip_ms']:>7.0f}ms {row['speedup']:>7.2f}x"
             )
         emit("kernel-comparison", "\n".join(table))
-        ladder_ref, ladder_fast = rows[0][1], rows[0][2]
-        assert ladder_ref / ladder_fast >= 2.0, (
-            f"fast kernel regressed: only {ladder_ref / ladder_fast:.2f}x "
-            f"on {rows[0][0]}"
+        ladder = rows[0]
+        assert ladder["speedup"] >= 2.0, (
+            f"change-tick skip regressed: only {ladder['speedup']:.2f}x "
+            f"on {ladder['workload']}"
         )
-
-    def test_fast_kernel_diagnosis_cycle(self, benchmark):
-        """The full-diagnosis timing on the fast kernel (pairs with
-        TestSimulatorAndEngine.test_full_diagnosis_cycle above)."""
-        from repro.core.diagnosis import FlamesConfig
-
-        golden = three_stage_amplifier()
-        engine = Flames(golden, FlamesConfig(kernel="fast"))
-        engine.predictions()
-        op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
-        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=0.02)
-        result = benchmark.pedantic(
-            engine.diagnose, args=(measurements,), rounds=3, iterations=1
-        )
-        assert not result.is_consistent
 
 
 class TestTracingOverhead:
@@ -220,11 +197,10 @@ class TestTracingOverhead:
     """
 
     def test_span_overhead_within_5_percent(self, emit):
-        from repro.core.diagnosis import FlamesConfig
         from repro.runtime import RunContext
 
         golden = three_stage_amplifier()
-        engine = Flames(golden, FlamesConfig(kernel="fast"))
+        engine = Flames(golden)
         engine.predictions()
         op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
         measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=0.02)
@@ -238,7 +214,7 @@ class TestTracingOverhead:
         traced = _time(run, True, repeats=5)
         emit(
             "tracing-overhead",
-            "span-collection overhead — full diagnosis cycle (fast kernel)\n"
+            "span-collection overhead — full diagnosis cycle\n"
             f"{'tracing off':<14} {base * 1000:>8.2f}ms\n"
             f"{'tracing on':<14} {traced * 1000:>8.2f}ms\n"
             f"{'overhead':<14} {(traced / base - 1) * 100:>7.1f}%",
@@ -262,22 +238,22 @@ class TestATMSGrowth:
 
 
 def run_comparison(repeats=2):
-    """The reference-vs-fast rows as plain data (shared by CLI and JSON)."""
+    """The skip-vs-oracle rows as plain data (shared by pytest, CLI, JSON)."""
     rows = []
     for label, circuit, probes in (
         ("ladder-40 x12 probes", resistor_ladder(40), 12),
         ("three-stage x6 probes", three_stage_amplifier(), 6),
     ):
         run = _measurement_stream(circuit, probes)
-        run("fast")  # touch everything once so both timings are warm
-        ref = _time(run, "reference", repeats=repeats)
-        fast = _time(run, "fast", repeats=repeats)
+        run(FuzzyPropagator)  # touch everything once so both timings are warm
+        oracle = _time(run, NoSkipPropagator, repeats=repeats)
+        skip = _time(run, FuzzyPropagator, repeats=repeats)
         rows.append(
             {
                 "workload": label,
-                "reference_ms": round(ref * 1000, 3),
-                "fast_ms": round(fast * 1000, 3),
-                "speedup": round(ref / fast, 3),
+                "no_skip_ms": round(oracle * 1000, 3),
+                "skip_ms": round(skip * 1000, 3),
+                "speedup": round(oracle / skip, 3),
             }
         )
     return rows
@@ -286,7 +262,7 @@ def run_comparison(repeats=2):
 def main():  # pragma: no cover - manual entry point
     parser = argparse.ArgumentParser(
         prog="bench_kernel",
-        description="reference-vs-fast kernel comparison on the "
+        description="change-tick skip vs the no-skip oracle on the "
         "repeated-measurement workloads",
     )
     parser.add_argument(
@@ -299,12 +275,12 @@ def main():  # pragma: no cover - manual entry point
     )
     args = parser.parse_args()
     rows = run_comparison(repeats=args.repeats)
-    print("kernel comparison — repeated-measurement propagation")
-    print(f"{'workload':<26} {'reference':>10} {'fast':>9} {'speedup':>8}")
+    print("change-tick skip — repeated-measurement propagation")
+    print(f"{'workload':<26} {'no-skip':>10} {'skip':>9} {'speedup':>8}")
     for row in rows:
         print(
-            f"{row['workload']:<26} {row['reference_ms']:>8.0f}ms "
-            f"{row['fast_ms']:>7.0f}ms {row['speedup']:>7.2f}x"
+            f"{row['workload']:<26} {row['no_skip_ms']:>8.0f}ms "
+            f"{row['skip_ms']:>7.0f}ms {row['speedup']:>7.2f}x"
         )
     if args.json_out:
         payload = {"benchmark": "kernel", "repeats": args.repeats, "rows": rows}

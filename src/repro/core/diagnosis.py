@@ -11,7 +11,7 @@ sets, plus the per-probe consistency table that figure 7 reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.atms import WeightedNogood
@@ -28,7 +28,6 @@ from repro.core.propagation import (
 )
 from repro.fuzzy import Consistency, FuzzyInterval
 from repro.fuzzy.logic import TNorm, t_norm_min
-from repro.kernel import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
@@ -45,11 +44,9 @@ class FlamesConfig:
     ``max_candidate_size`` bounds the simultaneous-fault cardinality
     considered by the hitting-set step (the paper entertains multiple
     faults but notes the space "grows exponentially").
-    ``kernel`` selects the implementation substrate: ``"reference"`` is
-    the seed's set-based, uncached semantics; ``"fast"`` runs the same
-    algorithms on interned bitmask environments with memoized fuzzy
-    arithmetic and incremental propagation (identical results, verified
-    by the differential suite in ``tests/kernel``).
+    ``kernel`` is kept only so existing callers keep working: it still
+    rejects names other than ``"reference"`` and ``"fast"``, but selects
+    nothing — there is one propagation engine.
     """
 
     assumable_nodes: bool = False
@@ -61,13 +58,10 @@ class FlamesConfig:
     propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
 
     def __post_init__(self) -> None:
-        resolve_kernel(self.kernel)
-
-    def effective_propagator(self) -> PropagatorConfig:
-        """The propagator config with the engine-level kernel applied."""
-        if self.propagator.kernel == self.kernel:
-            return self.propagator
-        return replace(self.propagator, kernel=self.kernel)
+        if self.kernel not in ("reference", "fast"):
+            raise ValueError(
+                f"unknown kernel {self.kernel!r}; choices: reference, fast"
+            )
 
 
 @dataclass
@@ -177,8 +171,7 @@ class Flames:
 
         ``propagator`` (from :meth:`make_propagator`) runs the fixpoint
         on a warm, reusable propagator: results are observationally
-        identical to a fresh run, but the fast kernel's memo caches
-        survive between calls — the streaming plane's incremental path.
+        identical to a fresh run.
         """
         from repro.runtime.pipeline import DiagnosisPipeline
 
@@ -187,9 +180,9 @@ class Flames:
     def make_propagator(self) -> "FuzzyPropagator":
         """A reusable propagator over this engine's network.
 
-        Pass it back into :meth:`diagnose` on every call to keep the
-        kernel warm across a stream of re-diagnoses (see README
-        "Streaming mode"); each run resets its values but keeps the
-        interned intervals and memoized projections.
+        Pass it back into :meth:`diagnose` on every call to skip
+        rebuilding the constraint watch lists across a stream of
+        re-diagnoses (see README "Streaming mode"); each run resets its
+        values.
         """
-        return FuzzyPropagator(self.network, config=self.config.effective_propagator())
+        return FuzzyPropagator(self.network, config=self.config.propagator)

@@ -124,9 +124,8 @@ class ServerConfig:
     drain_grace: float = 30.0  # seconds to wait for in-flight work on shutdown
     max_streams: int = 4  # concurrent /v1/stream connections
     heartbeat: float = 5.0  # SSE keep-alive cadence during quiet stretches, seconds
-    supervise: bool = False  # engage the FleetSupervisor (quarantine + breaker)
+    supervise: bool = False  # engage the FleetSupervisor (quarantine + health)
     faults: str = ""  # JSON FaultPlan armed server-wide (chaos testing only)
-    verify_kernel: bool = False  # differential-check every fast-kernel run
     store: str = ""  # sqlite persistence-plane path; "" = in-memory only
     disk_cache_size: int = 4096  # store cache-table row bound
     lifecycle: bool = True  # run StoreMaintenance (cluster replicas turn it off)
@@ -196,7 +195,6 @@ class DiagnosisServer:
             cache_size=config.cache_size,
             supervisor=FleetSupervisor() if config.supervise else None,
             fault_plan=FaultPlan.from_json(config.faults) if config.faults else None,
-            verify_kernel=config.verify_kernel,
             store=self.store,
             disk_cache_size=config.disk_cache_size,
         )
@@ -897,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--supervise", action="store_true",
         help="engage the fleet supervisor (poison-job quarantine, worker "
-        "health eviction, kernel circuit breaker)",
+        "health eviction)",
     )
     parser.add_argument(
         "--faults", default="",
@@ -911,11 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--heartbeat", type=float, default=5.0,
         help="SSE keep-alive cadence in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--verify-kernel", action="store_true",
-        help="differentially check every fast-kernel run against the "
-        "reference engine (expensive; chaos/soak runs only)",
     )
     parser.add_argument(
         "--store", default="",
@@ -960,7 +953,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             supervise=args.supervise,
             faults=args.faults,
-            verify_kernel=args.verify_kernel,
             max_streams=args.max_streams,
             heartbeat=args.heartbeat,
             store=args.store,

@@ -96,7 +96,7 @@ class StreamSpec:
     imprecision: float = 0.05
     noise: float = 0.0
     seed: int = 0
-    kernel: str = "fast"
+    kernel: str = "fast"  # compatibility only: validated, selects nothing
     threshold: float = 0.5
     hysteresis: float = 0.2
     alpha: float = 0.4

@@ -277,21 +277,24 @@ class DiagnosisStore:
             if row is None:
                 return "miss", None
             blob, digest = row
-            if hashlib.sha256(blob.encode()).hexdigest() != digest:
-                cur.execute("BEGIN IMMEDIATE")
-                cur.execute(
-                    "DELETE FROM cache_entries WHERE namespace = ? AND key = ?",
-                    (namespace, key),
-                )
-                cur.execute("COMMIT")
-                return "corrupt", None
+            corrupt = hashlib.sha256(blob.encode()).hexdigest() != digest
             cur.execute("BEGIN IMMEDIATE")
-            cur.execute(
-                "UPDATE cache_entries SET seq = ? WHERE namespace = ? AND key = ?",
-                (self._next_seq(cur), namespace, key),
-            )
-            cur.execute("COMMIT")
-            return "hit", blob
+            try:
+                if corrupt:
+                    cur.execute(
+                        "DELETE FROM cache_entries WHERE namespace = ? AND key = ?",
+                        (namespace, key),
+                    )
+                else:
+                    cur.execute(
+                        "UPDATE cache_entries SET seq = ? WHERE namespace = ? AND key = ?",
+                        (self._next_seq(cur), namespace, key),
+                    )
+                cur.execute("COMMIT")
+            except sqlite3.DatabaseError:
+                cur.execute("ROLLBACK")
+                raise
+            return ("corrupt", None) if corrupt else ("hit", blob)
 
     def cache_put(
         self, namespace: str, key: str, blob: str, digest: str, max_rows: int = 0
@@ -358,11 +361,15 @@ class DiagnosisStore:
             blob = row[0]
             tampered = blob[:-1] + ("x" if blob[-1:] != "x" else "y")
             cur.execute("BEGIN IMMEDIATE")
-            cur.execute(
-                "UPDATE cache_entries SET blob = ? WHERE namespace = ? AND key = ?",
-                (tampered, namespace, key),
-            )
-            cur.execute("COMMIT")
+            try:
+                cur.execute(
+                    "UPDATE cache_entries SET blob = ? WHERE namespace = ? AND key = ?",
+                    (tampered, namespace, key),
+                )
+                cur.execute("COMMIT")
+            except sqlite3.DatabaseError:
+                cur.execute("ROLLBACK")
+                raise
             return True
 
     # ------------------------------------------------------------------

@@ -133,6 +133,17 @@ class TestConfiguration:
         result = engine.diagnose([probe(op, "mid", imprecision=0.02)])
         assert all(d.size <= 1 for d in result.diagnoses)
 
+    def test_kernel_name_is_validated_but_inert(self):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            FlamesConfig(kernel="turbo")
+        golden = divider()
+        op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "Rb"))).solve()
+        m = [probe(op, "mid", imprecision=0.02)]
+        a = Flames(golden, FlamesConfig(kernel="reference")).diagnose(m)
+        b = Flames(golden, FlamesConfig(kernel="fast")).diagnose(m)
+        assert a.ranked_components() == b.ranked_components()
+        assert a.propagation.steps == b.propagation.steps
+
     def test_predictions_cached(self):
         engine = Flames(divider())
         first = engine.predictions()

@@ -1,8 +1,9 @@
-"""Cross-kernel differential over every corpus scenario class.
+"""Skip-versus-oracle differential over every corpus scenario class.
 
-One small seeded corpus (two scenarios per class) runs through both
-kernels scenario by scenario; the full ranked candidate list, suspicion
-degrees and weighted-nogood structure must agree to 1e-9.  Intermittent
+One small seeded corpus (two scenarios per class) runs through the
+engine and through the no-skip oracle (:mod:`tests.kernel.oracle`)
+scenario by scenario; the full ranked candidate list, suspicion degrees
+and weighted-nogood structure must agree to 1e-9.  Intermittent
 scenarios additionally assert the fuzzy-ATMS signature the corpus
 generator promises: at least one *low-degree* nogood — a weighted
 nogood whose inconsistency degree is strictly inside (0, 1) — with the
@@ -13,9 +14,10 @@ import math
 
 import pytest
 
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.corpus import CERTAIN, CLASSES, generate_corpus, ranking_from_payload
 from repro.service.jobs import diagnosis_to_dict
+from tests.kernel.oracle import OracleFlames
 
 SEED = 29
 PER_CLASS = 2
@@ -24,14 +26,13 @@ TOL = 1e-9
 
 @pytest.fixture(scope="module")
 def payloads():
-    """{(scenario id, kernel): diagnosis payload} for the whole corpus."""
+    """{(scenario id, engine): diagnosis payload} for the whole corpus."""
     manifest = generate_corpus(SEED, PER_CLASS)
     table = {}
     for scenario in manifest.scenarios:
-        for kernel in ("reference", "fast"):
-            engine = Flames(scenario.circuit(), FlamesConfig(kernel=kernel))
-            result = engine.diagnose(scenario.to_measurements())
-            table[(scenario.id, kernel)] = diagnosis_to_dict(result)
+        for name, engine_cls in (("oracle", OracleFlames), ("engine", Flames)):
+            result = engine_cls(scenario.circuit()).diagnose(scenario.to_measurements())
+            table[(scenario.id, name)] = diagnosis_to_dict(result)
     return manifest, table
 
 
@@ -41,8 +42,8 @@ def test_identical_ranked_candidates(scenario_class, payloads):
     scenarios = manifest.by_class()[scenario_class]
     assert len(scenarios) == PER_CLASS
     for scenario in scenarios:
-        ref = table[(scenario.id, "reference")]
-        fast = table[(scenario.id, "fast")]
+        ref = table[(scenario.id, "oracle")]
+        fast = table[(scenario.id, "engine")]
         assert ref["status"] == fast["status"], scenario.id
 
         ranked_ref = ranking_from_payload(ref)
@@ -67,18 +68,18 @@ def test_identical_ranked_candidates(scenario_class, payloads):
 def test_intermittent_scenarios_surface_low_degree_nogoods(payloads):
     manifest, table = payloads
     for scenario in manifest.by_class()["intermittent"]:
-        for kernel in ("reference", "fast"):
-            payload = table[(scenario.id, kernel)]
+        for name in ("oracle", "engine"):
+            payload = table[(scenario.id, name)]
             degrees = [ng["degree"] for ng in payload["nogoods"]]
-            assert degrees, f"{scenario.id}/{kernel}: no nogoods at all"
+            assert degrees, f"{scenario.id}/{name}: no nogoods at all"
             partial = [d for d in degrees if 1e-6 < d < CERTAIN]
             assert partial, (
-                f"{scenario.id}/{kernel}: no low-degree nogood "
+                f"{scenario.id}/{name}: no low-degree nogood "
                 f"(degrees: {[round(d, 6) for d in degrees]})"
             )
             culprit = scenario.expected[0]
             assert culprit in payload["suspicions"], (
-                f"{scenario.id}/{kernel}: culprit {culprit} not among suspects"
+                f"{scenario.id}/{name}: culprit {culprit} not among suspects"
             )
 
 
@@ -87,12 +88,12 @@ def test_persistent_hard_faults_pin_full_degree(payloads):
     defect produces at least one frankly inconsistent (degree 1) nogood."""
     manifest, table = payloads
     for scenario in manifest.by_class()["single-hard"]:
-        for kernel in ("reference", "fast"):
+        for name in ("oracle", "engine"):
             degrees = [
-                ng["degree"] for ng in table[(scenario.id, kernel)]["nogoods"]
+                ng["degree"] for ng in table[(scenario.id, name)]["nogoods"]
             ]
-            assert degrees, f"{scenario.id}/{kernel}: no nogoods at all"
+            assert degrees, f"{scenario.id}/{name}: no nogoods at all"
             assert any(d >= CERTAIN for d in degrees), (
-                f"{scenario.id}/{kernel}: persistent defect without a "
+                f"{scenario.id}/{name}: persistent defect without a "
                 f"full-degree nogood (degrees: {[round(d, 6) for d in degrees]})"
             )

@@ -68,11 +68,10 @@ class TestMetrics:
         assert math.isclose(percentile([4.0, 1.0, 3.0, 2.0], 100), 4.0)
 
 
-def _outcome(cls, kernel, rank, top1, elapsed=0.01, status="ok"):
+def _outcome(cls, rank, top1, elapsed=0.01, status="ok"):
     return ScenarioOutcome(
         id=f"{cls}-x",
         scenario_class=cls,
-        kernel=kernel,
         status=status,
         rank=rank,
         hits={1: top1, 3: True},
@@ -82,9 +81,9 @@ def _outcome(cls, kernel, rank, top1, elapsed=0.01, status="ok"):
 
 
 def _report(top1_hits):
-    report = CorpusReport(seed=1, top_k=(1, 3), kernels=("reference",))
+    report = CorpusReport(seed=1, top_k=(1, 3))
     for hit in top1_hits:
-        report.outcomes.append(_outcome("single-hard", "reference", 1, hit))
+        report.outcomes.append(_outcome("single-hard", 1, hit))
     return report
 
 
@@ -92,7 +91,7 @@ class TestReportAndFloor:
     def test_stats_include_overall_row(self):
         report = _report([True, False])
         table = report.to_dict()
-        cell = table["kernels"]["reference"]
+        cell = table["classes"]
         assert set(cell) == {"single-hard", "overall"}
         assert cell["single-hard"]["accuracy"]["top1"] == 0.5
         assert cell["overall"]["accuracy"]["n"] == 2
@@ -100,9 +99,9 @@ class TestReportAndFloor:
 
     def test_canonical_report_excludes_latency(self):
         report = _report([True])
-        assert "latency" not in report.to_dict()["kernels"]["reference"]["single-hard"]
+        assert "latency" not in report.to_dict()["classes"]["single-hard"]
         withlat = report.to_dict(include_latency=True)
-        assert "latency" in withlat["kernels"]["reference"]["single-hard"]
+        assert "latency" in withlat["classes"]["single-hard"]
 
     def test_floor_holds(self):
         report = _report([True, True, False, True])
@@ -132,17 +131,16 @@ class TestRunCorpus:
     def tiny(self):
         return generate_corpus(13, 1, ["single-hard", "tolerance-stackup"])
 
-    def test_serial_run_reports_both_kernels(self, tiny):
+    def test_serial_run_scores_every_scenario(self, tiny):
         report = run_corpus(tiny, workers=1, executor="serial")
-        assert set(report.to_dict()["kernels"]) == {"reference", "fast"}
-        assert len(report.outcomes) == 2 * len(tiny)
+        assert set(report.to_dict()["classes"]) == {
+            "single-hard", "tolerance-stackup", "overall"
+        }
+        assert len(report.outcomes) == len(tiny)
+        assert report.to_dict()["scenarios"] == len(tiny)
         assert all(o.completed for o in report.outcomes)
 
     def test_report_byte_stable_across_runs(self, tiny):
-        first = run_corpus(tiny, kernels=("reference",), workers=1, executor="serial")
-        second = run_corpus(tiny, kernels=("reference",), workers=1, executor="serial")
+        first = run_corpus(tiny, workers=1, executor="serial")
+        second = run_corpus(tiny, workers=1, executor="serial")
         assert first.to_json() == second.to_json()
-
-    def test_unknown_kernel_rejected(self, tiny):
-        with pytest.raises(ValueError):
-            run_corpus(tiny, kernels=("warp",), workers=1, executor="serial")

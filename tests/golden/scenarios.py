@@ -5,7 +5,7 @@ Shared between the snapshot test and the regeneration entry point:
     PYTHONPATH=src python tests/golden/scenarios.py   # rewrite *.json
 
 Regenerate only when an intentional semantic change lands — the
-snapshots are the reference kernel's word on what a diagnosis says.
+snapshots are the engine's word on what a diagnosis says.
 """
 
 import json

@@ -1,11 +1,12 @@
 """Golden-file snapshots of full diagnoses on three library circuits.
 
-Each snapshot is the complete ``diagnosis_to_dict`` payload recorded by
-the reference kernel (regenerate with ``python tests/golden/scenarios.py``
-after an intentional semantic change).  The test replays every scenario
-through *both* kernels and compares field by field — exact for
-structure, 1e-9 for floats — so a silent behaviour drift in either
-kernel shows up as a named-field diff, not a blob mismatch.
+Each snapshot is the complete ``diagnosis_to_dict`` payload
+(regenerate with ``python tests/golden/scenarios.py`` after an
+intentional semantic change).  The test replays every scenario and
+compares field by field — exact for structure, 1e-9 for floats — so a
+silent behaviour drift shows up as a named-field diff, not a blob
+mismatch.  It runs under both accepted ``FlamesConfig.kernel`` names:
+the field is kept for compatibility only, so both must match.
 """
 
 import json

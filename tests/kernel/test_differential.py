@@ -1,13 +1,13 @@
-"""Differential harness: the fast kernel must be observationally
-identical to the reference.
+"""Differential harness: the change-tick skip must be a no-op.
 
-Every scenario (library circuit x fault mode) runs through both kernels
-and the *entire* diagnosis — ranked candidates, suspicion degrees,
-weighted nogoods, consistencies, propagation step counts — must agree
-to 1e-9.  A second battery drives a persistent propagator with
-measurements added one at a time, the workload the fast kernel's
-dirty-tracking was built for, and checks the incremental fixpoint
-against the reference after every single run.
+Every scenario (library circuit x fault mode) runs through the engine
+and through the no-skip oracle (:mod:`tests.kernel.oracle`), and the
+*entire* diagnosis — ranked candidates, suspicion degrees, weighted
+nogoods, consistencies, propagation step counts — must agree to 1e-9.
+A second battery drives a persistent propagator with measurements added
+one at a time, the workload the skip pays off on, and checks the
+incremental fixpoint against the oracle after every single run.  A third
+runs the streaming engine's checkpoint/restore chain against the oracle.
 """
 
 import math
@@ -21,13 +21,16 @@ from repro.circuit.library import (
     diode_resistor_circuit,
     three_stage_amplifier,
 )
-from repro.circuit.measurements import probe, probe_all
+from repro.circuit.measurements import Measurement, probe, probe_all
 from repro.circuit.constraints import ConstraintNetwork
 from repro.circuit.simulate import DCSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.core.predict import predict_nominal
-from repro.core.propagation import FuzzyPropagator, PropagatorConfig
+from repro.core.propagation import FuzzyPropagator
+from repro.fuzzy import FuzzyInterval
 from repro.runtime import RunContext
+from repro.stream.incremental import IncrementalDiagnosisEngine
+from tests.kernel.oracle import NoSkipPropagator, OracleFlames
 
 TOL = 1e-9
 
@@ -66,13 +69,12 @@ SCENARIOS = [
 ]
 
 
-def _diagnose(maker, fault, nets, kernel):
+def _diagnose(maker, fault, nets, engine_cls):
     golden = maker()
     faulty = apply_fault(golden, fault) if fault else golden
     op = DCSolver(faulty).solve()
     measurements = probe_all(op, nets, imprecision=0.02)
-    engine = Flames(golden, FlamesConfig(kernel=kernel))
-    return engine.diagnose(measurements)
+    return engine_cls(golden).diagnose(measurements)
 
 
 def _nogood_key(ng):
@@ -84,8 +86,8 @@ def _nogood_key(ng):
 )
 class TestDiagnosisDifferential:
     def test_identical_diagnosis(self, maker, fault, nets):
-        ref = _diagnose(maker, fault, nets, "reference")
-        fast = _diagnose(maker, fault, nets, "fast")
+        ref = _diagnose(maker, fault, nets, OracleFlames)
+        fast = _diagnose(maker, fault, nets, Flames)
 
         assert ref.is_consistent == fast.is_consistent
 
@@ -117,10 +119,10 @@ class TestDiagnosisDifferential:
             )
 
     def test_identical_propagation_trace(self, maker, fault, nets):
-        """The fast kernel skips provable no-ops but never reorders work,
-        so even the step count and conflict log must match exactly."""
-        ref = _diagnose(maker, fault, nets, "reference")
-        fast = _diagnose(maker, fault, nets, "fast")
+        """The skip drops provable no-ops but never reorders work, so
+        even the step count and conflict log must match exactly."""
+        ref = _diagnose(maker, fault, nets, OracleFlames)
+        fast = _diagnose(maker, fault, nets, Flames)
         assert ref.propagation.steps == fast.propagation.steps
         assert ref.propagation.quiescent == fast.propagation.quiescent
         assert len(ref.conflicts) == len(fast.conflicts)
@@ -131,11 +133,11 @@ class TestDiagnosisDifferential:
             assert math.isclose(cr.degree, cf.degree, rel_tol=0, abs_tol=TOL)
 
 
-def _incremental_states(circuit, faulty, nets, kernel):
+def _incremental_states(circuit, faulty, nets, propagator_cls):
     """Drive one persistent propagator, snapshotting after every run."""
     op = DCSolver(faulty).solve()
     network = ConstraintNetwork(circuit, False)
-    prop = FuzzyPropagator(network, config=PropagatorConfig(kernel=kernel))
+    prop = propagator_cls(network)
     for name, pred in predict_nominal(circuit).items():
         if name in network.variables:
             prop.set_value(name, pred.value, pred.support, source="prediction")
@@ -163,7 +165,7 @@ def _incremental_states(circuit, faulty, nets, kernel):
 
 
 def _assert_same_partial(ref, fast):
-    """The two kernels' (possibly partial) results must agree exactly."""
+    """Engine and oracle (possibly partial) results must agree exactly."""
     assert ref.propagation.steps == fast.propagation.steps
     assert ref.propagation.quiescent == fast.propagation.quiescent
     assert ref.propagation.interrupted == fast.propagation.interrupted
@@ -184,12 +186,12 @@ def _assert_same_partial(ref, fast):
 
 class TestInterruptionDifferential:
     """Expiring mid-propagation must leave *identical partial semantics*
-    on both kernels.
+    with and without the skip.
 
-    Budgets are charged once per work-list pop and the kernels process
-    the identical work list (pinned by the step-count assertions above),
-    so a step budget — or a deterministic fake clock advanced per check
-    — cuts both runs at exactly the same pop.  The partial result must
+    Budgets are charged once per work-list pop and both propagators
+    process the identical work list (pinned by the step-count assertions
+    above), so a step budget — or a deterministic fake clock advanced
+    per check — cuts both runs at exactly the same pop.  The partial result must
     still be well-formed: ranked, classified, serialisable, flagged.
     """
 
@@ -202,29 +204,28 @@ class TestInterruptionDifferential:
         measurements = probe_all(op, nets, imprecision=0.02)
         return maker, measurements
 
-    def _run(self, maker, measurements, kernel, ctx):
-        engine = Flames(maker(), FlamesConfig(kernel=kernel))
-        return engine.diagnose(measurements, ctx=ctx)
+    def _run(self, maker, measurements, engine_cls, ctx):
+        return engine_cls(maker()).diagnose(measurements, ctx=ctx)
 
     def test_step_budget_interrupts_both_kernels_identically(self):
         maker, measurements = self._ladder_scenario()
-        full = self._run(maker, measurements, "reference", None)
+        full = self._run(maker, measurements, OracleFlames, None)
         assert full.propagation.quiescent and not full.interrupted
         budget = full.propagation.steps // 2
         assert budget > 0, "scenario too small to interrupt mid-propagation"
 
         results = {}
-        for kernel in ("reference", "fast"):
+        for engine_cls in (OracleFlames, Flames):
             ctx = RunContext(step_budget=budget)
-            result = self._run(maker, measurements, kernel, ctx)
+            result = self._run(maker, measurements, engine_cls, ctx)
             assert result.interrupted
             assert ctx.stop_reason == "step-budget"
             assert result.propagation.interrupted
             assert not result.propagation.quiescent
-            results[kernel] = result
-        ref, fast = results["reference"], results["fast"]
+            results[engine_cls] = result
+        ref, fast = results[OracleFlames], results[Flames]
         # The budget is charged *before* each pop, so exactly budget-1
-        # pops execute — deterministically, on both kernels.
+        # pops execute — deterministically, with or without the skip.
         assert ref.propagation.steps == budget - 1
         _assert_same_partial(ref, fast)
         # Partial really is partial: fewer steps than the full run.
@@ -243,18 +244,18 @@ class TestInterruptionDifferential:
             return clock
 
         results = {}
-        for kernel in ("reference", "fast"):
+        for engine_cls in (OracleFlames, Flames):
             ctx = RunContext.with_timeout(0.05, clock=make_clock())
-            result = self._run(maker, measurements, kernel, ctx)
+            result = self._run(maker, measurements, engine_cls, ctx)
             assert result.interrupted
             assert ctx.stop_reason == "deadline"
-            results[kernel] = result
-        _assert_same_partial(results["reference"], results["fast"])
+            results[engine_cls] = result
+        _assert_same_partial(results[OracleFlames], results[Flames])
 
 
 class TestIncrementalDifferential:
     """One measurement at a time against a persistent propagator —
-    the incremental path must track the reference at every step."""
+    the incremental path must track the oracle at every step."""
 
     @pytest.mark.parametrize(
         "maker,fault",
@@ -269,9 +270,50 @@ class TestIncrementalDifferential:
         faulty = apply_fault(golden, fault)
         op = DCSolver(faulty).solve()
         nets = [n for n in sorted(op.voltages) if n != "0"][:6]
-        ref = _incremental_states(golden, faulty, nets, "reference")
-        fast = _incremental_states(golden, faulty, nets, "fast")
+        ref = _incremental_states(golden, faulty, nets, NoSkipPropagator)
+        fast = _incremental_states(golden, faulty, nets, FuzzyPropagator)
         assert len(ref) == len(fast)
         for i, (r, f) in enumerate(zip(ref, fast)):
             assert r[0] == f[0], f"conflict log diverged after run {i}"
             assert r[1] == f[1], f"estimates diverged after run {i}"
+
+
+class TestStreamDifferential:
+    """The streaming engine restores chain checkpoints — firing stamps
+    included — and runs only the dirty suffix.  Its answer must equal the
+    no-skip oracle replaying the same snapshot in the same order."""
+
+    def test_restored_chain_matches_oracle_replay(self):
+        golden = resistor_ladder(8)
+        nets = [f"n{i}" for i in range(1, 9)]
+        healthy = probe_all(DCSolver(golden).solve(), nets, imprecision=0.05)
+        faulty_op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "Rp4"))).solve()
+        drifted = {m.point: m for m in probe_all(faulty_op, nets, imprecision=0.05)}
+
+        warm = IncrementalDiagnosisEngine(Flames(golden))
+        warm.diagnose(healthy)
+        snapshots = []
+        for point, scale in (("V(n4)", 1.0), ("V(n4)", 1.01), ("V(n6)", 1.0)):
+            volts = drifted[point].value.centroid * scale
+            base = snapshots[-1] if snapshots else healthy
+            snapshots.append([
+                Measurement(m.point, FuzzyInterval.number(volts, 0.05))
+                if m.point == point else m
+                for m in base
+            ])
+        for snapshot in snapshots:
+            result = warm.diagnose(snapshot)
+            assert warm.last_stats.reused_prefix > 0, "the chain must restore a prefix"
+
+            oracle = IncrementalDiagnosisEngine(OracleFlames(golden))
+            by_point = {m.point: m for m in snapshot}
+            replay = oracle.diagnose([by_point[p] for p in warm.order])
+
+            assert not result.is_consistent
+            assert result.ranked_components() == replay.ranked_components()
+            assert sorted(map(_nogood_key, result.nogoods)) == sorted(
+                map(_nogood_key, replay.nogoods)
+            )
+            assert [d.components for d in result.diagnoses] == [
+                d.components for d in replay.diagnoses
+            ]

@@ -109,13 +109,13 @@ class TestJobViews:
         assert cfg.max_candidate_size == 2
         assert isinstance(cfg.max_candidate_size, int)
 
-    def test_kernel_config_round_trips(self):
+    def test_kernel_key_is_dropped_at_decode(self):
+        # Accepted for old clients, but it selects nothing: it reaches
+        # neither the engine nor the job identity (cache key).
         job = DiagnosisJob.build("u", NETLIST, _measure(), config={"kernel": "fast"})
-        assert job.flames_config().kernel == "fast"
-        # The kernel choice is part of the job identity (cache key).
         plain = DiagnosisJob.build("u", NETLIST, _measure())
-        assert plain.flames_config().kernel == "reference"
-        assert job.content_hash != plain.content_hash
+        assert job.config == plain.config == ()
+        assert job.content_hash == plain.content_hash
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ManifestError):

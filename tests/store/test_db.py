@@ -3,6 +3,7 @@ experience, tenant provisioning and diagnosis history."""
 
 import hashlib
 import json
+import sqlite3
 
 import pytest
 
@@ -70,6 +71,54 @@ class TestCacheRows:
         assert evicted == 1
         assert store.cache_get("public", "k1") == ("miss", None)
         assert store.cache_get("public", "k0")[0] == "hit"
+
+    def test_failed_hit_refresh_leaves_the_store_writable(self, store, monkeypatch):
+        """A sqlite error inside a disk hit's LRU refresh (e.g. SQLITE_BUSY
+        past busy_timeout) must roll back, not strand the shared
+        connection inside an open transaction where every later write —
+        quota debits included — would fail."""
+        body, digest = _seal({"unit": "u1"})
+        store.cache_put("public", "k1", body, digest)
+
+        def busy(cur):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(store, "_next_seq", busy)
+        with pytest.raises(sqlite3.OperationalError):
+            store.cache_get("public", "k1")
+        monkeypatch.undo()
+
+        body2, digest2 = _seal({"unit": "u2"})
+        store.cache_put("public", "k2", body2, digest2)
+        allowed, _, _ = store.quota_debit("acme", capacity=5, interval=60.0)
+        assert allowed
+        assert store.cache_get("public", "k2")[0] == "hit"
+
+    def test_failed_purge_leaves_the_store_writable(self, store, monkeypatch):
+        body, digest = _seal({"unit": "u1"})
+        store.cache_put("public", "k1", body, digest)
+        assert store.cache_tamper("public", "k1")
+        real = store._conn
+
+        class FailingDelete:
+            """A connection whose cursors raise on the purge's DELETE."""
+
+            def cursor(self):
+                return self
+
+            def execute(self, sql, *args):
+                if sql.startswith("DELETE"):
+                    raise sqlite3.OperationalError("database is locked")
+                return real.execute(sql, *args)
+
+        monkeypatch.setattr(store, "_conn", FailingDelete())
+        with pytest.raises(sqlite3.OperationalError):
+            store.cache_get("public", "k1")
+        monkeypatch.undo()
+
+        body2, digest2 = _seal({"unit": "u2"})
+        store.cache_put("public", "k2", body2, digest2)
+        assert store.quota_debit("acme", capacity=5, interval=60.0)[0]
 
 
 class TestExperience:

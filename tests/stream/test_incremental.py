@@ -2,7 +2,8 @@
 
 The load-bearing property: a warm engine's tick after a change is
 observationally identical to a *cold* engine replaying the same
-absorption sequence in the same order — on both kernels.  (One-shot
+absorption sequence in the same order — under both accepted
+``FlamesConfig.kernel`` names, which select nothing.  (One-shot
 ``Flames.diagnose`` is a different, order-insensitive contract; see the
 module docstring of ``repro.stream.incremental``.)
 """

@@ -38,8 +38,9 @@ def read_stream(port, query, timeout=60.0):
 class TestStreamEndpoint:
     def test_sse_framing_sequence_and_heartbeat(self):
         with RunningServer(stream_config(heartbeat=0.05)) as rs:
-            # The reference kernel at size 12 makes the baseline tick
-            # slow enough that several 50ms heartbeat windows elapse.
+            # Size 12 makes the cold baseline tick slow enough that
+            # several 50ms heartbeat windows elapse.  ``kernel`` is a
+            # compatibility key: still accepted, selects nothing.
             resp, body = read_stream(
                 rs.server.port,
                 "kernel=reference&size=12&duration=0.004&dt=0.001",
@@ -85,6 +86,8 @@ class TestStreamEndpoint:
             resp, _ = read_stream(rs.server.port, "fault=bogus")
             assert resp.status == 400
             resp, _ = read_stream(rs.server.port, "nets=zz")
+            assert resp.status == 400
+            resp, _ = read_stream(rs.server.port, "kernel=turbo")
             assert resp.status == 400
 
     def test_non_get_is_405(self):
