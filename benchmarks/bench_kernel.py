@@ -3,12 +3,14 @@
 These time the substrates the paper's runtime claims rest on: fuzzy
 interval arithmetic, Dc evaluation, ATMS label propagation, weighted
 hitting sets, the DC simulator and one full diagnosis cycle — plus the
-propagator's change-tick skip timed against the no-skip oracle
-(``tests/kernel/oracle.py``) on repeated-measurement workloads (the
-``test_*_speedup`` case doubles as the CI perf-regression guard: it
-fails when the skip drops below 2x on the ladder workload).
+propagator's skips against the no-skip oracle (``tests/kernel/oracle.py``).
+Two cases double as CI regression guards: ``test_*_speedup`` times
+repeated-measurement workloads and fails when the skips drop below 2x on
+the ladder; ``test_projection_work_ratio`` counts ``Constraint.project``
+calls on cold amplifier diagnoses and fails when the engine needs more
+than 0.6 of the oracle's.  Counts repeat exactly, unlike timings.
 
-The module entry point runs just the skip comparison and can write a
+The module entry point runs both comparisons and can write a
 machine-readable result for trend tracking:
 
     PYTHONPATH=src python -m benchmarks.bench_kernel --json-out BENCH_kernel.json
@@ -36,7 +38,7 @@ from repro.core import Flames
 from repro.core.predict import predict_nominal
 from repro.core.propagation import FuzzyPropagator
 from repro.fuzzy import FuzzyInterval, consistency, fuzzy_entropy
-from tests.kernel.oracle import NoSkipPropagator
+from tests.kernel.oracle import NoSkipPropagator, OracleFlames
 
 
 class TestFuzzyArithmetic:
@@ -162,17 +164,18 @@ def _time(fn, *args, repeats=2):
 
 
 class TestKernelComparison:
-    """The change-tick skip against the no-skip oracle.
+    """The propagator's skips (change tick, repeat combo, input-pool
+    memo) against the no-skip oracle.
 
-    The speedup assertion is deliberately below the typical figure
-    (~3.5x on the ladder) so it trips on real regressions — a skip
-    worth less than 2x on its flagship workload is a bug — without
+    The speedup assertion is deliberately far below the typical figure
+    (~7x on the ladder) so it trips on real regressions — skips worth
+    less than 2x on their flagship workload are a bug — without
     flaking on machine noise.
     """
 
     def test_repeated_measurement_speedup(self, emit):
         rows = run_comparison()
-        table = ["change-tick skip — repeated-measurement propagation",
+        table = ["propagator skips — repeated-measurement propagation",
                  f"{'workload':<26} {'no-skip':>10} {'skip':>9} {'speedup':>8}"]
         for row in rows:
             table.append(
@@ -182,9 +185,28 @@ class TestKernelComparison:
         emit("kernel-comparison", "\n".join(table))
         ladder = rows[0]
         assert ladder["speedup"] >= 2.0, (
-            f"change-tick skip regressed: only {ladder['speedup']:.2f}x "
+            f"propagator skips regressed: only {ladder['speedup']:.2f}x "
             f"on {ladder['workload']}"
         )
+
+
+class TestProjectionWork:
+    """Projections the engine computes, as a share of the oracle's.
+
+    The repeat-combo skip drops every projection whose constraint,
+    target, activation environment and input values were all seen
+    before; on a cold diagnosis that is most of them (about 0.4-0.5 of
+    the oracle's count remain).  The gate is deterministic.
+    """
+
+    def test_projection_work_ratio(self, emit):
+        rows = run_projection_counts()
+        emit("projection-work", format_projection_counts(rows))
+        for row in rows:
+            assert row["ratio"] <= 0.6, (
+                f"repeat-combo skip regressed: {row['workload']} computes "
+                f"{row['ratio']:.2f} of the oracle's projections"
+            )
 
 
 class TestTracingOverhead:
@@ -238,7 +260,7 @@ class TestATMSGrowth:
 
 
 def run_comparison(repeats=2):
-    """The skip-vs-oracle rows as plain data (shared by pytest, CLI, JSON)."""
+    """The skips-vs-oracle rows as plain data (shared by pytest, CLI, JSON)."""
     rows = []
     for label, circuit, probes in (
         ("ladder-40 x12 probes", resistor_ladder(40), 12),
@@ -259,11 +281,59 @@ def run_comparison(repeats=2):
     return rows
 
 
+def _count_projections(engine_cls, circuit, measurements):
+    """``Constraint.project`` calls one cold diagnosis makes."""
+    engine = engine_cls(circuit)
+    calls = [0]
+    for constraint in engine.network.constraints:
+        def counted(target, values, _project=constraint.project):
+            calls[0] += 1
+            return _project(target, values)
+
+        constraint.project = counted
+    engine.diagnose(measurements)
+    return calls[0]
+
+
+def run_projection_counts():
+    """Projection counts, engine vs oracle, on the cold amplifier faults."""
+    rows = []
+    for label, fault in (
+        ("amp-short-r2", Fault(FaultKind.SHORT, "R2")),
+        ("amp-open-r5", Fault(FaultKind.OPEN, "R5")),
+    ):
+        golden = three_stage_amplifier()
+        op = DCSolver(apply_fault(golden, fault)).solve()
+        measurements = probe_all(op, ["vs", "v1", "v2", "n1", "n2"], imprecision=0.02)
+        oracle = _count_projections(OracleFlames, golden, measurements)
+        engine = _count_projections(Flames, golden, measurements)
+        rows.append(
+            {
+                "workload": label,
+                "oracle_projections": oracle,
+                "projections": engine,
+                "ratio": round(engine / oracle, 3),
+            }
+        )
+    return rows
+
+
+def format_projection_counts(rows):
+    lines = ["projection work — cold diagnosis, engine vs no-skip oracle",
+             f"{'workload':<14} {'oracle':>8} {'engine':>8} {'ratio':>6}"]
+    for row in rows:
+        lines.append(
+            f"{row['workload']:<14} {row['oracle_projections']:>8} "
+            f"{row['projections']:>8} {row['ratio']:>6.2f}"
+        )
+    return "\n".join(lines)
+
+
 def main():  # pragma: no cover - manual entry point
     parser = argparse.ArgumentParser(
         prog="bench_kernel",
-        description="change-tick skip vs the no-skip oracle on the "
-        "repeated-measurement workloads",
+        description="propagator skips vs the no-skip oracle: repeated-"
+        "measurement timings and cold-diagnosis projection counts",
     )
     parser.add_argument(
         "--repeats", type=int, default=2,
@@ -275,15 +345,22 @@ def main():  # pragma: no cover - manual entry point
     )
     args = parser.parse_args()
     rows = run_comparison(repeats=args.repeats)
-    print("change-tick skip — repeated-measurement propagation")
+    print("propagator skips — repeated-measurement propagation")
     print(f"{'workload':<26} {'no-skip':>10} {'skip':>9} {'speedup':>8}")
     for row in rows:
         print(
             f"{row['workload']:<26} {row['no_skip_ms']:>8.0f}ms "
             f"{row['skip_ms']:>7.0f}ms {row['speedup']:>7.2f}x"
         )
+    work = run_projection_counts()
+    print(format_projection_counts(work))
     if args.json_out:
-        payload = {"benchmark": "kernel", "repeats": args.repeats, "rows": rows}
+        payload = {
+            "benchmark": "kernel",
+            "repeats": args.repeats,
+            "rows": rows,
+            "projection_rows": work,
+        }
         with open(args.json_out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

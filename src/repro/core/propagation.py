@@ -92,8 +92,9 @@ class PropagatorState:
     checkpoint costs microseconds, not a deep traversal.  The firing
     stamps travel with the state, so a restored propagator keeps
     skipping constraints whose inputs have not changed since the
-    checkpoint.  The streaming plane's incremental re-diagnosis (see
-    ``repro.stream``) is built on this.
+    checkpoint.  The repeat-combo and input-pool memos do not travel:
+    :meth:`~FuzzyPropagator.restore` clears them.  The streaming plane's
+    incremental re-diagnosis (see ``repro.stream``) is built on this.
     """
 
     values: Dict[str, tuple]
@@ -125,6 +126,10 @@ class FuzzyPropagator:
             self._watched[id(constraint)] = tuple(watched)
             for name in watched:
                 self._watchers.setdefault(name, []).append(constraint)
+        # Every value this propagator creates gets the next serial.  The
+        # counter is never reset, so a serial names one value for the
+        # propagator's whole life, across resets and restores.
+        self._serials = itertools.count(1)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -148,13 +153,38 @@ class FuzzyPropagator:
         # an identical value can neither narrow entries (monotone) nor
         # reveal new conflicts (deduplicated), so it is skipped outright.
         self._seen: Dict[str, set] = {}
+        # Canonical environments: every projection builds a fresh union
+        # frozenset, and ``_seen`` keeps each one alive, so equal ones are
+        # shared through this table (a large job otherwise holds several
+        # megabytes of duplicate sets).
+        self._envs: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self._clear_memos()
         for name, var in self.network.variables.items():
             if name == "V(0)":
                 # The ground reference is a premise: crisp and immutable.
-                value = FuzzyValue(FuzzyInterval.crisp(0.0), frozenset(), 1.0, "premise")
+                value = FuzzyValue(
+                    FuzzyInterval.crisp(0.0), frozenset(), 1.0, "premise",
+                    serial=next(self._serials),
+                )
             else:
-                value = FuzzyValue(var.seed, frozenset(), 1.0, "seed", from_seed=True)
+                value = FuzzyValue(
+                    var.seed, frozenset(), 1.0, "seed", from_seed=True,
+                    serial=next(self._serials),
+                )
             self._values[name] = [value]
+
+    def _clear_memos(self) -> None:
+        """Forget the repeat-combo and input-pool memos.
+
+        Both are only valid against the ``_seen`` and value stores they
+        were built on, so :meth:`reset` and :meth:`restore` — which
+        replace those stores — must call this.
+        """
+        # (constraint id, target, base env) -> input serials of every
+        # projection already computed: its value is already in ``_seen``.
+        self._combos: Dict[tuple, set] = {}
+        # Variable -> (change tick, sorted and truncated input pool).
+        self._pools: Dict[str, tuple] = {}
 
     def checkpoint(self) -> PropagatorState:
         """Snapshot the established facts (values, conflicts, dedup state).
@@ -193,6 +223,7 @@ class FuzzyPropagator:
         self._tick = state.tick
         self._conflicts = list(state.conflicts)
         self._conflict_keys = set(state.conflict_keys)
+        self._clear_memos()
 
     def set_value(
         self,
@@ -210,7 +241,10 @@ class FuzzyPropagator:
         if name not in self._values:
             raise KeyError(f"unknown variable {name!r}")
         before = len(self._conflicts)
-        self._record(name, FuzzyValue(interval, environment, degree, source))
+        self._record(
+            name,
+            FuzzyValue(interval, environment, degree, source, serial=next(self._serials)),
+        )
         return self._conflicts[before:]
 
     # ------------------------------------------------------------------
@@ -255,11 +289,13 @@ class FuzzyPropagator:
         :meth:`_apply` skips any constraint none of whose watched
         variables changed since its last firing: such a firing can only
         reproduce projections the ``_seen`` dedup discards before they
-        have any effect, so the skip is observationally a no-op (the
-        differential suite in ``tests/kernel`` checks it against a
-        propagator that never skips).  Adding one measurement and
-        re-running therefore recomputes only the affected cone while
-        every result stays bit-identical.
+        have any effect, so the skip is observationally a no-op.  Within
+        a firing it likewise skips every input combination it has
+        already projected for the same target and activation
+        environment (the differential suite in ``tests/kernel`` checks
+        both skips against a propagator that never skips).  Adding one
+        measurement and re-running therefore recomputes only the
+        affected cone while every result stays bit-identical.
 
         ``ctx`` makes the loop cooperative: it is ticked once per
         work-list pop (skipped firings count too), and when it
@@ -321,15 +357,28 @@ class FuzzyPropagator:
                 return []
         changed: List[str] = []
         env_base = frozenset(constraint.assumptions) | activation_env
+        serials = self._serials
+        envs = self._envs
         for target in constraint.variables:
-            inputs = [v for v in constraint.variables if v.name != target.name]
+            tname = target.name
+            inputs = [v for v in constraint.variables if v.name != tname]
             pools = [self._select(v.name) for v in inputs]
             if any(not p for p in pools):
                 continue
             combos = itertools.islice(
                 itertools.product(*pools), self.config.max_combinations
             )
+            # Repeat-combo skip: the same constraint, target, base
+            # environment and input values (by serial) reproduce an equal
+            # value, whose fingerprint ``_record`` already put in
+            # ``_seen`` (constraint names are never immutable sources),
+            # so it would be discarded with no side effect.
+            done = self._combos.setdefault((cid, tname, env_base), set())
             for combo in combos:
+                key = tuple([val.serial for val in combo])
+                if key in done:
+                    continue
+                done.add(key)
                 try:
                     projected = constraint.project(
                         target, {v.name: val.interval for v, val in zip(inputs, combo)}
@@ -339,23 +388,35 @@ class FuzzyPropagator:
                 if projected is None:
                     continue
                 env = env_base.union(*(val.environment for val in combo)) if combo else env_base
+                env = envs.setdefault(env, env)
                 degree = min((val.degree for val in combo), default=1.0)
                 tainted = any(val.from_seed for val in combo)
                 value = FuzzyValue(
-                    projected, env, degree, constraint.name, from_seed=tainted
+                    projected, env, degree, constraint.name, from_seed=tainted,
+                    serial=next(serials),
                 )
-                if self._record(target.name, value):
-                    if target.name not in changed:
-                        changed.append(target.name)
+                if self._record(tname, value):
+                    if tname not in changed:
+                        changed.append(tname)
         return changed
 
     def _select(self, name: str) -> List[FuzzyValue]:
-        """Input values for a projection: measurements first, then narrow."""
+        """Input values for a projection: measurements first, then narrow.
+
+        Every change to a variable's store advances its change tick, so
+        the pool is memoised against that tick.
+        """
+        tick = self._var_tick.get(name, 0)
+        memo = self._pools.get(name)
+        if memo is not None and memo[0] == tick:
+            return memo[1]
         stored = sorted(
             self._values[name],
             key=lambda v: (v.source not in _IMMUTABLE_SOURCES, v.width, len(v.environment)),
         )
-        return stored[: self.config.values_per_input]
+        pool = stored[: self.config.values_per_input]
+        self._pools[name] = (tick, pool)
+        return pool
 
     # ------------------------------------------------------------------
     def _record(self, name: str, new: FuzzyValue) -> bool:
@@ -371,9 +432,12 @@ class FuzzyPropagator:
         circuits with feedback loops: every entry always contains the
         true value whenever its supporting assumptions hold.
         """
-        fingerprint = (new.interval.as_tuple(), new.environment, round(new.degree, 6))
+        interval = new.interval
+        env = new.environment
+        immutable = new.source in _IMMUTABLE_SOURCES
         seen = self._seen.setdefault(name, set())
-        if new.source not in _IMMUTABLE_SOURCES:
+        if not immutable:
+            fingerprint = (interval.as_tuple(), env, round(new.degree, 6))
             if fingerprint in seen:
                 return False
             seen.add(fingerprint)
@@ -384,20 +448,38 @@ class FuzzyPropagator:
         # coincidence classification on the quiescent tail.  Evidence
         # values are exempt — they must always be checked and stored.
         slack = self.config.absolute_slack + self.config.relative_slack * new.width
-        if new.source not in _IMMUTABLE_SOURCES and any(
-            e.subsumes(new, slack) for e in stored
-        ):
-            return False
+        if not immutable:
+            # ``FuzzyValue.subsumes`` inlined, with the same float
+            # expressions (supports spelled out), over bounds hoisted
+            # out of the scan.
+            degree = new.degree
+            o_lo, o_hi = interval.support
+            lo_bound, hi_bound = o_lo - slack, o_hi + slack
+            m1_bound, m2_bound = interval.m1 - slack, interval.m2 + slack
+            for e in stored:
+                if e.degree < degree or not e.environment <= env:
+                    continue
+                ei = e.interval
+                if (
+                    lo_bound <= ei.m1 - ei.alpha
+                    and ei.m2 + ei.beta <= hi_bound
+                    and m1_bound <= ei.m1
+                    and ei.m2 <= m2_bound
+                ):
+                    return False
         # Conflict recognition against every established value whose width
         # reflects model implication (seed-descended values carry
-        # ignorance, not evidence).
-        for existing in stored:
-            if existing.from_seed or new.from_seed:
-                continue
-            if existing.is_seed or new.is_seed:
-                continue
-            conflict = recognize(name, new, existing)
-            if conflict is not None:
+        # ignorance, not evidence).  ``recognize`` rejects overlapping
+        # environments itself; testing first saves the call.
+        if not (new.from_seed or new.is_seed):
+            for existing in stored:
+                if existing.from_seed or existing.is_seed:
+                    continue
+                if not env.isdisjoint(existing.environment):
+                    continue
+                conflict = recognize(name, new, existing)
+                if conflict is None:
+                    continue
                 key = (
                     name,
                     conflict.environment,
@@ -409,7 +491,7 @@ class FuzzyPropagator:
                     self._conflicts.append(conflict)
                     if self.on_conflict is not None:
                         self.on_conflict(conflict)
-        if new.source in _IMMUTABLE_SOURCES:
+        if immutable:
             stored.append(new)
             self._touch(name)
             return True
@@ -422,7 +504,7 @@ class FuzzyPropagator:
         for i, existing in enumerate(stored):
             if existing.source in _IMMUTABLE_SOURCES:
                 continue
-            if existing.environment != new.environment:
+            if existing.environment != env:
                 continue
             if existing.revision >= self.config.narrowing_budget:
                 return False  # frozen: relaxation budget exhausted
@@ -431,13 +513,14 @@ class FuzzyPropagator:
                 continue  # frank conflict (already logged); keep both views
             merged = FuzzyValue(
                 hull,
-                new.environment,
+                env,
                 min(existing.degree, new.degree),
                 new.source or existing.source,
                 existing.revision + 1,
                 # Intersection with an untainted value bounds the result by
                 # model implication, clearing the taint.
                 from_seed=existing.from_seed and new.from_seed,
+                serial=next(self._serials),
             )
             if existing.subsumes(merged, slack):
                 return False

@@ -9,7 +9,7 @@ along its derivation, and a provenance string for explanations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet
 
 from repro.fuzzy import FuzzyInterval
@@ -44,6 +44,12 @@ class FuzzyValue:
     #: ignorance, not the model's implication, so the conflict engine
     #: must not read Dc mass into it.
     from_seed: bool = False
+    #: Creation stamp from the propagator's monotone counter (0 for values
+    #: made elsewhere).  Two values with the same nonzero serial are the
+    #: same value, which lets the propagator recognise a repeated input
+    #: combination without comparing intervals.  Ignored by equality,
+    #: hashing and repr.
+    serial: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.degree <= 1.0:

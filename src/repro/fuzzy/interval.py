@@ -68,19 +68,24 @@ class FuzzyInterval:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m1) and math.isfinite(self.m2)):
+        # Every check runs on locals; a field is only rewritten when
+        # normalisation actually changes it (the common case writes nothing).
+        m1, m2, alpha, beta = self.m1, self.m2, self.alpha, self.beta
+        if not (math.isfinite(m1) and math.isfinite(m2)):
             raise ValueError("fuzzy interval core must be finite")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError("fuzzy interval slope widths must be finite")
-        if self.m1 > self.m2 + _EPS:
-            raise ValueError(f"inverted core [{self.m1}, {self.m2}]")
-        if self.alpha < -_EPS or self.beta < -_EPS:
+        if m1 > m2 + _EPS:
+            raise ValueError(f"inverted core [{m1}, {m2}]")
+        if alpha < -_EPS or beta < -_EPS:
             raise ValueError("slope widths must be non-negative")
         # Normalise tiny negative noise from float arithmetic.
-        object.__setattr__(self, "alpha", max(self.alpha, 0.0))
-        object.__setattr__(self, "beta", max(self.beta, 0.0))
-        if self.m1 > self.m2:  # within _EPS; collapse
-            mid = 0.5 * (self.m1 + self.m2)
+        if alpha < 0.0:
+            object.__setattr__(self, "alpha", 0.0)
+        if beta < 0.0:
+            object.__setattr__(self, "beta", 0.0)
+        if m1 > m2:  # within _EPS; collapse
+            mid = 0.5 * (m1 + m2)
             object.__setattr__(self, "m1", mid)
             object.__setattr__(self, "m2", mid)
 
@@ -160,8 +165,7 @@ class FuzzyInterval:
     @property
     def width(self) -> float:
         """Width of the support."""
-        lo, hi = self.support
-        return hi - lo
+        return (self.m2 + self.beta) - (self.m1 - self.alpha)
 
     @property
     def area(self) -> float:
@@ -219,11 +223,9 @@ class FuzzyInterval:
         ``other`` are nested in ours *and* the slopes do not cross, which
         reduces to cut containment at levels 0 and 1 (slopes are linear).
         """
-        s_lo, s_hi = self.support
-        o_lo, o_hi = other.support
         return (
-            s_lo - _EPS <= o_lo
-            and o_hi <= s_hi + _EPS
+            self.m1 - self.alpha - _EPS <= other.m1 - other.alpha
+            and other.m2 + other.beta <= self.m2 + self.beta + _EPS
             and self.m1 - _EPS <= other.m1
             and other.m2 <= self.m2 + _EPS
         )
@@ -295,14 +297,12 @@ class FuzzyInterval:
 
         Uses the extension principle on the 0- and 1-cuts (exact at those
         levels, linear in between).  ``func`` must be monotone over the
-        support.
+        support.  The cut endpoints are sorted, so a decreasing ``func``
+        needs no special case; ``increasing`` is accepted for callers.
         """
         s_lo, s_hi = self.support
         pts_core = sorted((func(self.m1), func(self.m2)))
         pts_supp = sorted((func(s_lo), func(s_hi)))
-        if not increasing:
-            # sorted() already reorders; nothing else differs.
-            pass
         return FuzzyInterval.from_support_core(
             (min(pts_supp[0], pts_core[0]), max(pts_supp[1], pts_core[1])),
             (pts_core[0], pts_core[1]),
@@ -341,9 +341,10 @@ class FuzzyInterval:
     # ------------------------------------------------------------------
     def overlaps(self, other: "FuzzyInterval") -> bool:
         """True when the supports intersect (including at a single point)."""
-        a_lo, a_hi = self.support
-        b_lo, b_hi = other.support
-        return a_lo <= b_hi + _EPS and b_lo <= a_hi + _EPS
+        return (
+            self.m1 - self.alpha <= other.m2 + other.beta + _EPS
+            and other.m1 - other.alpha <= self.m2 + self.beta + _EPS
+        )
 
     def intersection_area(self, other: "FuzzyInterval") -> float:
         """Exact area under ``min(mu_self, mu_other)``.
@@ -388,10 +389,12 @@ class FuzzyInterval:
         supports; core = intersection of cores when non-empty, otherwise
         collapsed to the highest-membership point of the minimum.
         """
-        if not self.overlaps(other):
-            return None
-        s_lo = max(self.support[0], other.support[0])
-        s_hi = min(self.support[1], other.support[1])
+        a_lo, a_hi = self.m1 - self.alpha, self.m2 + self.beta
+        b_lo, b_hi = other.m1 - other.alpha, other.m2 + other.beta
+        if not (a_lo <= b_hi + _EPS and b_lo <= a_hi + _EPS):
+            return None  # disjoint supports (``overlaps`` spelled out)
+        s_lo = max(a_lo, b_lo)
+        s_hi = min(a_hi, b_hi)
         c_lo = max(self.m1, other.m1)
         c_hi = min(self.m2, other.m2)
         if c_lo <= c_hi:

@@ -6,6 +6,7 @@ from repro.circuit import (
     Circuit,
     ConstraintNetwork,
     GROUND,
+    Measurement,
     Resistor,
     VoltageSource,
     amplifier_cascade,
@@ -228,3 +229,124 @@ class TestSeedTaintProvenance:
         )
         # The merge rule: from_seed = existing.from_seed and new.from_seed.
         assert (tainted.from_seed and clean.from_seed) is False
+
+
+def _amplifier_readings(fault):
+    """A three-stage amplifier network and a faulty board's readings."""
+    from repro.circuit import DCSolver, Fault, FaultKind, apply_fault, three_stage_amplifier
+    from repro.circuit.measurements import probe
+
+    golden = three_stage_amplifier()
+    op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, fault))).solve()
+    readings = {net: probe(op, net, 0.02) for net in ("vs", "v1", "v2", "n1", "n2")}
+    return ConstraintNetwork(golden), readings
+
+
+def _observed(p, result):
+    """Everything a caller can see: stored values, conflicts, steps."""
+    values = {name: p.values(name) for name in p.network.variables}
+    return values, p.conflicts, result.steps, result.quiescent
+
+
+class TestMemoInvalidation:
+    """The repeat-combo and input-pool memos are only valid against the
+    stores they were built on: ``restore`` and ``reset`` must drop them,
+    and a restored or reset propagator must match a fresh replay."""
+
+    @staticmethod
+    def _amplifier_case():
+        network, readings = _amplifier_readings("R2")
+        return network, [readings["v1"]], [readings["v2"]]
+
+    @staticmethod
+    def _diode_case():
+        # Both readings reverse-bias d1, so each run newly activates the
+        # guarded leak bound: after the restore it must fire again.
+        network = ConstraintNetwork(diode_resistor_circuit(), nominal_modes={"d1": "on"})
+        first = [
+            Measurement("V(n1)", FuzzyInterval.number(1.0, 0.01)),
+            Measurement("V(n2)", FuzzyInterval.number(2.0, 0.01)),
+        ]
+        second = [
+            Measurement("V(n1)", FuzzyInterval.number(1.1, 0.01)),
+            Measurement("V(n2)", FuzzyInterval.number(2.0, 0.01)),
+        ]
+        return network, first, second
+
+    @pytest.mark.parametrize("case", ["_amplifier_case", "_diode_case"])
+    def test_restore_matches_fresh_replay(self, case):
+        network, first, second = getattr(self, case)()
+
+        p = FuzzyPropagator(network)
+        p.run()
+        state = p.checkpoint()
+        for m in first:
+            p.set_value(m.point, m.value)
+        p.run()
+        p.restore(state)
+        for m in second:
+            p.set_value(m.point, m.value)
+        resumed = _observed(p, p.run())
+
+        fresh = FuzzyPropagator(network)
+        fresh.run()
+        for m in second:
+            fresh.set_value(m.point, m.value)
+        assert resumed == _observed(fresh, fresh.run())
+
+    def test_checkpoint_survives_reset(self):
+        network, readings = _amplifier_readings("R5")
+        probes = [readings[net] for net in ("vs", "n1", "n2")]
+
+        p = FuzzyPropagator(network)
+        p.set_value(probes[0].point, probes[0].value)
+        p.run()
+        state = p.checkpoint()
+        p.reset()
+        p.restore(state)
+        for m in probes[1:]:
+            p.set_value(m.point, m.value)
+        resumed = _observed(p, p.run())
+
+        fresh = FuzzyPropagator(network)
+        fresh.set_value(probes[0].point, probes[0].value)
+        fresh.run()
+        for m in probes[1:]:
+            fresh.set_value(m.point, m.value)
+        assert resumed == _observed(fresh, fresh.run())
+        # The counter outlives reset(): restored and new values never
+        # share a serial, so no stale combo can alias a new one.
+        serials = [v.serial for name in network.variables for v in p.values(name)]
+        assert len(set(serials)) == len(serials)
+
+    def test_reset_matches_fresh_run(self):
+        network, readings = _amplifier_readings("R2")
+        p = FuzzyPropagator(network)
+        p.set_value(readings["v1"].point, readings["v1"].value)
+        p.run()
+        p.reset()
+        p.set_value(readings["n2"].point, readings["n2"].value)
+        again = _observed(p, p.run())
+
+        fresh = FuzzyPropagator(network)
+        fresh.set_value(readings["n2"].point, readings["n2"].value)
+        assert again == _observed(fresh, fresh.run())
+
+    def test_serial_ignored_by_equality_hash_and_repr(self):
+        from repro.core.values import FuzzyValue
+
+        a = FuzzyValue(FuzzyInterval(1.0, 2.0), frozenset({"R1"}), 1.0, "c", serial=3)
+        b = FuzzyValue(FuzzyInterval(1.0, 2.0), frozenset({"R1"}), 1.0, "c", serial=9)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "serial" not in repr(FuzzyValue(FuzzyInterval(1.0, 2.0), serial=5))
+
+    def test_every_stored_value_has_a_unique_serial(self):
+        network, readings = _amplifier_readings("R2")
+        p = FuzzyPropagator(network)
+        p.set_value(readings["v1"].point, readings["v1"].value)
+        p.run()
+        serials = [v.serial for name in network.variables for v in p.values(name)]
+        assert 0 not in serials
+        assert len(set(serials)) == len(serials)

@@ -65,6 +65,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FuzzyInterval(float("nan"), 1.0)
 
+    def test_infinite_slope_rejected(self):
+        with pytest.raises(ValueError):
+            FuzzyInterval(0.0, 1.0, float("inf"), 0.0)
+        with pytest.raises(ValueError):
+            FuzzyInterval(0.0, 1.0, 0.0, float("inf"))
+
+    def test_tiny_negative_slope_normalises_to_zero(self):
+        v = FuzzyInterval(0.0, 1.0, -1e-13, -5e-13)
+        assert v.alpha == 0.0 and v.beta == 0.0
+        assert str(v.alpha) == "0.0" and str(v.beta) == "0.0"
+
+    def test_nearly_inverted_core_collapses_to_midpoint(self):
+        v = FuzzyInterval(1.0 + 5e-13, 1.0, 0.1, 0.2)
+        mid = 0.5 * ((1.0 + 5e-13) + 1.0)
+        assert v.m1 == v.m2 == mid
+        assert (v.alpha, v.beta) == (0.1, 0.2)
+
+    def test_arithmetic_overflow_rejected(self):
+        with pytest.raises(ValueError):
+            FuzzyInterval(1e308, 1e308) * 10.0
+        with pytest.raises(ValueError):
+            FuzzyInterval(1e308, 1e308, 1e308, 1e308) + FuzzyInterval(0.0, 0.0, 1e308, 0.0)
+
 
 class TestMembership:
     """The figure-1 membership formula, exactly."""

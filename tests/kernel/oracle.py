@@ -1,10 +1,12 @@
-"""The no-skip oracle for the propagator's change-tick skip.
+"""The no-skip oracle for the propagator's skips.
 
 :class:`FuzzyPropagator` skips any constraint none of whose watched
-variables changed since it last fired.  :class:`NoSkipPropagator`
-clears the constraint's firing stamp before every ``_apply``, so the
-skip never fires and every firing recomputes every projection: the
-plain work-list fixpoint the skip must be observationally identical to.
+variables changed since it last fired, skips any input combination it
+has already projected, and memoises each variable's input pool.
+:class:`NoSkipPropagator` clears the constraint's firing stamp and both
+memos before every ``_apply``, so no skip ever fires and every firing
+recomputes every projection from freshly sorted pools: the plain
+work-list fixpoint the skips must be observationally identical to.
 :class:`OracleFlames` hands that propagator to every diagnosis, one-shot
 and incremental alike.
 """
@@ -18,6 +20,7 @@ class NoSkipPropagator(FuzzyPropagator):
 
     def _apply(self, constraint):
         self._fired_at.pop(id(constraint), None)
+        self._clear_memos()
         return super()._apply(constraint)
 
 

@@ -278,6 +278,28 @@ class TestIncrementalDifferential:
             assert r[1] == f[1], f"estimates diverged after run {i}"
 
 
+    def test_guard_environment_change_matches_oracle(self):
+        """Reverse-biasing d1 re-fires its guarded leak bound with the
+        same (empty) input combination under a new activation
+        environment; the repeat-combo skip must not mistake the second
+        firing for the first."""
+        network = ConstraintNetwork(diode_resistor_circuit(), nominal_modes={"d1": "on"})
+        fast, ref = FuzzyPropagator(network), NoSkipPropagator(network)
+        readings = [
+            ("V(n1)", FuzzyInterval.number(1.0, 0.01)),
+            ("V(n2)", FuzzyInterval.number(2.0, 0.01)),
+            ("V(vin)", FuzzyInterval.crisp(3.25)),
+        ]
+        assert fast.run().steps == ref.run().steps
+        for point, value in readings:
+            fast.set_value(point, value)
+            ref.set_value(point, value)
+            assert fast.run().steps == ref.run().steps
+            assert fast.conflicts == ref.conflicts, f"conflicts diverged after {point}"
+            for name in network.variables:
+                assert fast.values(name) == ref.values(name), (point, name)
+
+
 class TestStreamDifferential:
     """The streaming engine restores chain checkpoints — firing stamps
     included — and runs only the dirty suffix.  Its answer must equal the
