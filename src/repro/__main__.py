@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -51,10 +52,13 @@ from typing import List, Optional
 from repro.circuit.measurements import Measurement
 from repro.circuit.simulate import DCSolver
 from repro.circuit.spice import parse_netlist
+from repro.cluster import gateway
 from repro.core.diagnosis import Flames
 from repro.core.knowledge import KnowledgeBase
 from repro.core.report import render_report
 from repro.fuzzy import FuzzyInterval
+from repro.server import app
+from repro.server.flags import add_config_flags, config_from_args
 
 _TABLES = {
     "figure2": "format_figure2",
@@ -269,63 +273,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server.app import main as serve_main
-
-    forwarded = [
-        "--host", args.host,
-        "--port", str(args.port),
-        "--workers", str(args.workers),
-        "--queue-size", str(args.queue_size),
-        "--cache-size", str(args.cache_size),
-        "--timeout", str(args.timeout),
-        "--retries", str(args.retries),
-        "--max-streams", str(args.max_streams),
-        "--heartbeat", str(args.heartbeat),
-    ]
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.faults:
-        forwarded.extend(["--faults", args.faults])
-    if args.store:
-        forwarded.extend(["--store", args.store])
-        forwarded.extend(["--checkpoint-interval", str(args.checkpoint_interval)])
-        forwarded.extend(["--retain-history", str(args.retain_history)])
-        forwarded.extend(["--retain-history-rows", str(args.retain_history_rows)])
-        forwarded.extend(["--retain-cache", str(args.retain_cache)])
-        if args.no_lifecycle:
-            forwarded.append("--no-lifecycle")
-    return serve_main(forwarded)
+    return _run_front_end(app.ServerConfig, app.run, args, "server")
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.gateway import main as cluster_main
+    return _run_front_end(gateway.ClusterConfig, gateway.run, args, "cluster")
 
-    forwarded = [
-        "--host", args.host,
-        "--port", str(args.port),
-        "--replicas", str(args.replicas),
-        "--vnodes", str(args.vnodes),
-        "--workers", str(args.workers),
-        "--queue-size", str(args.queue_size),
-        "--cache-size", str(args.cache_size),
-        "--timeout", str(args.timeout),
-        "--retries", str(args.retries),
-        "--poll-interval", str(args.poll_interval),
-        "--gossip-interval", str(args.gossip_interval),
-    ]
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.faults:
-        forwarded.extend(["--faults", args.faults])
-    if args.replica_faults:
-        forwarded.extend(["--replica-faults", args.replica_faults])
-    if args.store:
-        forwarded.extend(["--store", args.store])
-        forwarded.extend(["--checkpoint-interval", str(args.checkpoint_interval)])
-        forwarded.extend(["--retain-history", str(args.retain_history)])
-        forwarded.extend(["--retain-history-rows", str(args.retain_history_rows)])
-        forwarded.extend(["--retain-cache", str(args.retain_cache)])
-    return cluster_main(forwarded)
+
+def _run_front_end(config_cls, run, args: argparse.Namespace, label: str) -> int:
+    """Build the front end's config from its flags and serve until drained."""
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    try:
+        config = config_from_args(config_cls, args)
+    except ValueError as exc:
+        print(f"bad {label} options: {exc}", flush=True)
+        return 2
+    return run(config)
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
@@ -597,26 +560,6 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_lifecycle_args(parser: argparse.ArgumentParser) -> None:
-    """Store-lifecycle tuning flags shared by serve and cluster modes."""
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=60.0,
-        help="seconds between WAL checkpoint/retention ticks (default 60)",
-    )
-    parser.add_argument(
-        "--retain-history", type=float, default=30.0,
-        help="days of history to keep, 0 = forever (default 30)",
-    )
-    parser.add_argument(
-        "--retain-history-rows", type=int, default=100_000,
-        help="max history rows to keep, 0 = unlimited (default 100000)",
-    )
-    parser.add_argument(
-        "--retain-cache", type=float, default=0.0,
-        help="days of cache rows to keep, 0 = forever (default 0)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -740,118 +683,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="server mode: diagnosis over HTTP/JSON from a warm engine"
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=8080, help="bind port; 0 picks an ephemeral port"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4, help="concurrent diagnosis slots (default 4)"
-    )
-    serve.add_argument(
-        "--queue-size", type=int, default=64,
-        help="requests allowed to wait for a slot before 503s (default 64)",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=1024, help="result-cache capacity (default 1024)"
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request budget in seconds (default 30)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts for crashed jobs (default 1)",
-    )
-    serve.add_argument(
-        "--max-streams", type=int, default=4,
-        help="concurrent /v1/stream SSE connections (default 4)",
-    )
-    serve.add_argument(
-        "--heartbeat", type=float, default=5.0,
-        help="SSE keep-alive cadence in seconds (default 5)",
-    )
-    serve.add_argument(
-        "--supervise", action="store_true",
-        help="engage the fleet supervisor (quarantine, health)",
-    )
-    serve.add_argument(
-        "--faults", default="",
-        help="JSON fault plan armed server-wide (chaos testing only)",
-    )
-    serve.add_argument(
-        "--store", default="",
-        help="durable sqlite store: caches, experience and tenants "
-        "survive restarts (see README 'Persistence & tenants')",
-    )
-    _add_lifecycle_args(serve)
-    serve.add_argument(
-        "--no-lifecycle", action="store_true",
-        help="disable the store maintenance loop (another process owns it)",
-    )
+    add_config_flags(serve, app.ServerConfig)
     serve.set_defaults(func=_cmd_serve)
 
     cluster = sub.add_parser(
         "cluster",
         help="cluster mode: a sharded replica fleet behind one gateway",
     )
-    cluster.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    cluster.add_argument(
-        "--port", type=int, default=8090, help="gateway port; 0 picks an ephemeral port"
-    )
-    cluster.add_argument(
-        "--replicas", type=int, default=2,
-        help="server subprocesses to run (default 2)",
-    )
-    cluster.add_argument(
-        "--vnodes", type=int, default=64,
-        help="virtual nodes per replica on the hash ring (default 64)",
-    )
-    cluster.add_argument(
-        "--workers", type=int, default=2,
-        help="diagnosis slots per replica (default 2)",
-    )
-    cluster.add_argument(
-        "--queue-size", type=int, default=64,
-        help="admission queue depth per replica (default 64)",
-    )
-    cluster.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="result-cache capacity per replica (default 1024)",
-    )
-    cluster.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request budget in seconds (default 30)",
-    )
-    cluster.add_argument(
-        "--retries", type=int, default=1,
-        help="per-replica crashed-job retries (default 1)",
-    )
-    cluster.add_argument(
-        "--poll-interval", type=float, default=1.0,
-        help="replica health-poll period in seconds (default 1)",
-    )
-    cluster.add_argument(
-        "--gossip-interval", type=float, default=2.0,
-        help="experience gossip period in seconds (default 2)",
-    )
-    cluster.add_argument(
-        "--supervise", action="store_true",
-        help="engage the fleet supervisor inside every replica",
-    )
-    cluster.add_argument(
-        "--faults", default="",
-        help="JSON fault plan armed in the gateway (cluster.* chaos points)",
-    )
-    cluster.add_argument(
-        "--replica-faults", default="",
-        help="JSON fault plan forwarded to every replica subprocess",
-    )
-    cluster.add_argument(
-        "--store", default="",
-        help="durable sqlite store shared by every replica; the gateway "
-        "seeds its gossip ledger from it at boot",
-    )
-    _add_lifecycle_args(cluster)
+    add_config_flags(cluster, gateway.ClusterConfig)
     cluster.set_defaults(func=_cmd_cluster)
 
     tenants = sub.add_parser(

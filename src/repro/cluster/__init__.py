@@ -11,7 +11,6 @@ gateway's :class:`ExperienceGossip` ledger.
 from repro.cluster.gateway import ClusterConfig, ClusterGateway, run
 from repro.cluster.gossip import ExperienceGossip
 from repro.cluster.replicas import (
-    ReplicaConfig,
     ReplicaManager,
     ReplicaProcess,
     StaticFleet,
@@ -23,7 +22,6 @@ __all__ = [
     "ClusterGateway",
     "ExperienceGossip",
     "HashRing",
-    "ReplicaConfig",
     "ReplicaManager",
     "ReplicaProcess",
     "StaticFleet",

@@ -10,9 +10,12 @@ HTTP/JSON — stdlib asyncio only, no framework:
 * :mod:`repro.server.queueing` — admission control and backpressure
   (:class:`AdmissionQueue`: bounded wait queue + concurrency slots,
   503 + ``Retry-After`` load shedding);
-* :mod:`repro.server.app`      — the :class:`DiagnosisServer` itself:
-  routes, per-request timeouts, graceful drain on SIGTERM/SIGINT,
-  structured request logging (:class:`ServerConfig`, :func:`run`);
+* :mod:`repro.server.app`      — :class:`HttpFrontEnd` (connection loop,
+  route table, request logging, graceful drain; the cluster gateway
+  shares it) and the :class:`DiagnosisServer` built on it: routes,
+  per-request timeouts (:class:`ServerConfig`, :func:`run`);
+* :mod:`repro.server.flags`    — the ``serve``/``cluster`` flags, each
+  declared once against its config field;
 * :mod:`repro.server.client`   — :class:`DiagnosisClient`, a blocking
   connection-reusing client with exponential-backoff retries on 503
   and transport errors.

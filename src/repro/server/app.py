@@ -66,7 +66,6 @@ Operational behaviour, in one place:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import functools
 import itertools
@@ -78,9 +77,11 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.telemetry import Telemetry
+    from repro.store import StoreMaintenance
     from repro.store.db import TenantRecord
 
 from repro.resilience import FaultPlan, FleetSupervisor, faults
@@ -99,7 +100,7 @@ from repro.stream.sse import format_event
 from repro.service import FleetEngine, ManifestError, job_from_spec
 from repro.service.jobs import DiagnosisJob
 
-__all__ = ["ServerConfig", "DiagnosisServer", "run", "main"]
+__all__ = ["ServerConfig", "HttpFrontEnd", "DiagnosisServer", "run"]
 
 log = logging.getLogger("repro.server")
 
@@ -108,6 +109,11 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: The fleet-health reporting route: GET /v1/tenants/{id}/report.
 _TENANT_REPORT_RE = re.compile(r"^/v1/tenants/([^/]+)/report$")
+
+#: What a route handler returns: status, JSON payload, extra headers.
+Reply = Tuple[int, object, Dict[str, str]]
+#: A route handler: ``(request, request_id, *path captures) -> Reply``.
+Handler = Callable[..., Awaitable[Reply]]
 
 
 @dataclass
@@ -149,79 +155,62 @@ class ServerConfig:
             FaultPlan.from_json(self.faults)  # fail fast on a bad plan
 
 
-class DiagnosisServer:
-    """Asyncio HTTP front end over a shared, warm fleet engine."""
+class HttpFrontEnd:
+    """The asyncio HTTP/JSON front end the server and the cluster gateway share.
 
-    def __init__(self, config: ServerConfig, engine: Optional[FleetEngine] = None):
+    It owns the connection loop, request ids, dispatch (telemetry, the
+    JSON access log and error mapping), the route table's 404 and 405,
+    and the start/serve/drain lifecycle.  A subclass supplies its routes
+    (:meth:`_route_table`) and its policies: the errors it maps itself
+    (:meth:`_error_reply`), background loops, what it releases on drain,
+    and the extra fields of its log lines.
+    """
+
+    #: Names the drain telemetry events, the draining 503 and the summary.
+    kind = "server"
+    #: Prefix of the ``listening``/``drained`` log events.
+    event_prefix = ""
+    #: Prefix of the request ids this front end mints.
+    id_tag = ""
+    log = log
+
+    telemetry: "Telemetry"
+
+    def __init__(self, config) -> None:
         self.config = config
-        # The persistence plane is entirely optional: without --store the
-        # server is byte-identical to the in-memory-only build and none
-        # of repro.store is even imported.
         self.store = None
-        self.tenants = None
-        self.quotas = None
-        self.maintenance = None
-        if config.store:
-            from repro.store import DiagnosisStore, TenantRegistry, TokenBucketQuota
-
-            self.store = DiagnosisStore(config.store)
-            self.tenants = TenantRegistry(self.store)
-            # Store-backed token buckets: every replica sharing the file
-            # debits the same per-tenant budget (vs. the per-process
-            # fixed window of the storeless QuotaTracker).
-            self.quotas = TokenBucketQuota(self.store)
-            if config.lifecycle:
-                from repro.store import (
-                    LifecycleConfig,
-                    RetentionPolicy,
-                    StoreMaintenance,
-                )
-
-                self.maintenance = StoreMaintenance(
-                    self.store,
-                    LifecycleConfig(
-                        checkpoint_interval=config.checkpoint_interval,
-                        retention=RetentionPolicy(
-                            history_max_age=config.retain_history_days * 86400.0,
-                            history_max_rows=config.retain_history_rows,
-                            cache_max_age=config.retain_cache_days * 86400.0,
-                        ),
-                    ),
-                )
-        self.engine = engine or FleetEngine(
-            workers=config.workers,
-            executor="thread",
-            retries=config.retries,
-            cache_size=config.cache_size,
-            supervisor=FleetSupervisor() if config.supervise else None,
-            fault_plan=FaultPlan.from_json(config.faults) if config.faults else None,
-            store=self.store,
-            disk_cache_size=config.disk_cache_size,
-        )
-        self.telemetry = self.engine.telemetry
-        self.admission = AdmissionQueue(config.workers, config.queue_size)
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.workers, thread_name_prefix="diagnose"
-        )
-        # Streams are long-lived; giving them their own executor keeps a
-        # saturated stream fleet from starving one-shot diagnose slots.
-        self._stream_executor = ThreadPoolExecutor(
-            max_workers=max(1, config.max_streams), thread_name_prefix="stream"
-        )
-        self._streams_active = 0
+        self.maintenance: "Optional[StoreMaintenance]" = None
+        table = self._route_table()
+        self._paths = {path: m for path, m in table.items() if isinstance(path, str)}
+        self._patterns = [(p, m) for p, m in table.items() if not isinstance(p, str)]
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set = set()
+        self._loops: List[asyncio.Future] = []
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self._shutdown = asyncio.Event()
         self._draining = False
         self._started = time.monotonic()
-        self._mean_job_seconds = 0.1  # EWMA; seeds the Retry-After estimate
         self._request_ids = itertools.count(1)
-        self._io_seq = itertools.count(1)  # deterministic server.io chaos key
-        self._id_prefix = uuid.uuid4().hex[:8]
+        self._id_prefix = self.id_tag + uuid.uuid4().hex[:8]
         self.port: Optional[int] = None
+
+    def _maintenance(self, store) -> "StoreMaintenance":
+        """The upkeep loop for ``store``, tuned by the config's lifecycle fields."""
+        from repro.store import LifecycleConfig, RetentionPolicy, StoreMaintenance
+
+        return StoreMaintenance(
+            store,
+            LifecycleConfig(
+                checkpoint_interval=self.config.checkpoint_interval,
+                retention=RetentionPolicy(
+                    history_max_age=self.config.retain_history_days * 86400.0,
+                    history_max_rows=self.config.retain_history_rows,
+                    cache_max_age=self.config.retain_cache_days * 86400.0,
+                ),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -235,14 +224,13 @@ class DiagnosisServer:
             self._handle_connection, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        log.info(
+        self.log.info(
             json.dumps(
                 {
-                    "event": "listening",
+                    "event": self.event_prefix + "listening",
                     "host": self.config.host,
                     "port": self.port,
-                    "workers": self.config.workers,
-                    "queue_size": self.config.queue_size,
+                    **self._describe(),
                 }
             )
         )
@@ -251,7 +239,7 @@ class DiagnosisServer:
         """Begin the drain (signal-handler and test entry point)."""
         if not self._draining:
             self._draining = True
-            self.telemetry.event("server_drain_begin")
+            self.telemetry.event(f"{self.kind}_drain_begin")
             self._shutdown.set()
 
     async def serve(self) -> None:
@@ -264,13 +252,14 @@ class DiagnosisServer:
                 loop.add_signal_handler(sig, self.request_shutdown)
             except (NotImplementedError, RuntimeError, ValueError):
                 pass  # non-main thread or platform without signal support
+        self._loops = [asyncio.ensure_future(job) for job in self._background()]
         try:
             await self._shutdown.wait()
         finally:
             await self._drain()
 
     async def _drain(self) -> None:
-        """Stop accepting, finish in-flight work, flush telemetry."""
+        """Stop accepting, finish in-flight work, release, flush telemetry."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -280,31 +269,44 @@ class DiagnosisServer:
             drained = True
         except asyncio.TimeoutError:
             drained = False
-        connections = [conn for conn in self._connections if not conn.done()]
-        for conn in connections:
-            conn.cancel()
-        if connections:
-            await asyncio.gather(*connections, return_exceptions=True)
-        self._executor.shutdown(wait=drained)
-        self._stream_executor.shutdown(wait=drained)
+        tasks = [task for task in (*self._loops, *self._connections) if not task.done()]
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        await self._release(drained)
         if self.maintenance is not None:
-            # Final tick: leave the WAL checkpointed behind us.
+            # Final tick, once every writer is done: leave the WAL checkpointed.
             self.maintenance.stop(final_tick=True)
         if self.store is not None:
             self.store.close()
-        self.telemetry.event("server_drain_end", clean=drained)
-        log.info(
+        self.telemetry.event(f"{self.kind}_drain_end", clean=drained)
+        self.log.info(
             json.dumps(
                 {
-                    "event": "drained",
+                    "event": self.event_prefix + "drained",
                     "clean": drained,
-                    "uptime_seconds": round(time.monotonic() - self._started, 3),
-                    "admitted": self.admission.admitted,
-                    "rejected": self.admission.rejected,
+                    "uptime_seconds": self._uptime(),
+                    **self._drain_stats(),
                 }
             )
         )
-        log.info(self.telemetry.summary(title="server telemetry"))
+        self.log.info(self.telemetry.summary(title=f"{self.kind} telemetry"))
+
+    def _describe(self) -> Dict[str, object]:
+        """Extra fields of the ``listening`` log line."""
+        return {}
+
+    def _background(self) -> List[Awaitable[None]]:
+        """Loops to run while serving; cancelled on drain."""
+        return []
+
+    async def _release(self, drained: bool) -> None:
+        """Shut down what the subclass owns once in-flight work is done."""
+
+    def _drain_stats(self) -> Dict[str, object]:
+        """Extra fields of the ``drained`` log line."""
+        return {}
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -344,7 +346,7 @@ class DiagnosisServer:
 
         Honouring the client's id lets one logical request keep a single
         trace across client-side retries; a missing or malformed header
-        falls back to a server-minted id.
+        falls back to a minted id.
         """
         supplied = request.headers.get("x-request-id", "")
         if supplied and _REQUEST_ID_RE.match(supplied):
@@ -353,46 +355,21 @@ class DiagnosisServer:
 
     async def _dispatch(self, request: HttpRequest, writer) -> bool:
         """Route one request, write one response; returns keep-alive."""
-        if request.path == "/v1/stream":
-            # SSE owns its writer (incremental frames, no Content-Length),
-            # so it bypasses the buffered request/response path entirely.
-            return await self._handle_stream(request, writer)
         request_id = self._request_id(request)
         started = time.perf_counter()
         self._inflight += 1
         self._idle.clear()
-        status = 500
         extra = {"X-Request-Id": request_id}
         keep_alive = request.keep_alive and not self._draining
         try:
-            # Chaos hook: an injected dispatch failure must surface as a
-            # structured 500 (the generic handler below) with the
-            # connection intact — exactly like a real handler bug.  Keyed
-            # on an arrival counter, so a sequential chaos client sees the
-            # same requests fail on every run.
-            faults.maybe_raise(
-                "server.io",
-                f"{request.method} {request.path}#{next(self._io_seq)}",
-            )
             status, payload, headers = await self._route(request, request_id)
             extra.update(headers)
-        except QueueFullError as exc:
-            status = 503
-            payload = error_payload(503, str(exc), request_id)
-            extra["Retry-After"] = f"{exc.retry_after:g}"
-        except asyncio.TimeoutError:
-            status = 504
-            payload = error_payload(
-                504, f"request exceeded the {self.config.timeout:g}s budget", request_id
-            )
         except HttpError as exc:
             status = exc.status
             payload = error_payload(exc.status, exc.message, request_id)
             extra.update(exc.headers)
         except Exception as exc:  # a handler bug must not kill the connection
-            status = 500
-            payload = error_payload(500, f"{type(exc).__name__}: {exc}", request_id)
-            log.exception("request %s failed", request_id)
+            status, payload = self._error_reply(exc, request_id, extra)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
@@ -401,7 +378,7 @@ class DiagnosisServer:
         self.telemetry.incr("http_requests")
         self.telemetry.incr(f"http_status_{status}")
         self.telemetry.observe(f"http_seconds_{request.method} {request.path}", elapsed)
-        log.info(
+        self.log.info(
             json.dumps(
                 {
                     "request_id": request_id,
@@ -409,8 +386,7 @@ class DiagnosisServer:
                     "path": request.path,
                     "status": status,
                     "elapsed_ms": round(elapsed * 1000, 3),
-                    "inflight": self._inflight,
-                    "queued": self.admission.waiting,
+                    **self._load(),
                 }
             )
         )
@@ -420,51 +396,213 @@ class DiagnosisServer:
             return False
         return keep_alive
 
+    def _error_reply(
+        self, exc: Exception, request_id: str, headers: Dict[str, str]
+    ) -> Tuple[int, object]:
+        """Status and payload for an exception a handler raised.
+
+        A subclass maps the exceptions its policies raise (and may add
+        ``headers``); anything else is a structured 500.
+        """
+        self.log.exception("request %s failed", request_id)
+        return 500, error_payload(500, f"{type(exc).__name__}: {exc}", request_id)
+
+    def _load(self) -> Dict[str, int]:
+        """The load fields of the access log line."""
+        return {"inflight": self._inflight}
+
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    async def _route(
-        self, request: HttpRequest, request_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
-        path, method = request.path, request.method
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return 200, {"status": "ok", "uptime_seconds": self._uptime()}, {}
-        if path == "/readyz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            if self._draining:
-                return 503, {"status": "draining"}, {}
-            ready: Dict[str, object] = {"status": "ready"}
-            if self.maintenance is not None:
-                ready["lifecycle"] = self.maintenance.snapshot()
-            return 200, ready, {}
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            samples = request.query.get("samples", "") in ("1", "true", "yes")
-            return 200, self._metrics(samples=samples), {}
-        if path == "/v1/experience":
-            if method == "GET":
-                return 200, self._experience_export(), {}
-            if method == "POST":
-                return self._handle_experience_merge(request, request_id)
-            raise HttpError(405, "use GET or POST", {"Allow": "GET, POST"})
-        if path == "/v1/diagnose":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_diagnose(request, request_id)
-        if path == "/v1/batch":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_batch(request, request_id)
-        report_match = _TENANT_REPORT_RE.match(path)
-        if report_match:
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return self._handle_tenant_report(request, request_id, report_match.group(1))
-        raise HttpError(404, f"no route {path!r}")
+    def _route_table(self) -> Dict[object, Dict[str, Handler]]:
+        """``{path or compiled pattern: {method: handler}}``.
+
+        A pattern's groups become the handler's trailing arguments.
+        """
+        raise NotImplementedError
+
+    def _lookup(self, request: HttpRequest) -> Tuple[Handler, Tuple[str, ...]]:
+        """The handler for the request's path and method, plus path captures."""
+        methods = self._paths.get(request.path)
+        captures: Tuple[str, ...] = ()
+        if methods is None:
+            for pattern, candidate in self._patterns:
+                match = pattern.match(request.path)
+                if match:
+                    methods, captures = candidate, match.groups()
+                    break
+            else:
+                raise HttpError(404, f"no route {request.path!r}")
+        handler = methods.get(request.method)
+        if handler is None:
+            allowed = list(methods)
+            raise HttpError(
+                405, "use " + " or ".join(allowed), {"Allow": ", ".join(allowed)}
+            )
+        return handler, captures
+
+    async def _route(self, request: HttpRequest, request_id: str) -> Reply:
+        handler, captures = self._lookup(request)
+        return await handler(request, request_id, *captures)
+
+    async def _get_metrics(self, request: HttpRequest, request_id: str) -> Reply:
+        samples = request.query.get("samples", "") in ("1", "true", "yes")
+        return 200, self._metrics(samples=samples), {}
+
+    def _metrics(self, samples: bool = False) -> Dict:
+        raise NotImplementedError
+
+    @staticmethod
+    def _decode_job(request: HttpRequest) -> Tuple[object, DiagnosisJob]:
+        """The body's job spec and its decoded job (400 when malformed)."""
+        spec = request.json()
+        try:
+            return spec, job_from_spec(spec, index=0)
+        except ManifestError as exc:
+            raise HttpError(400, str(exc)) from None
+
+    @staticmethod
+    def _decode_batch(request: HttpRequest) -> Tuple[List, List[DiagnosisJob]]:
+        """The body's job specs and their decoded jobs (400 when malformed)."""
+        body = request.json()
+        specs = body.get("jobs") if isinstance(body, dict) else body
+        if not isinstance(specs, list) or not specs:
+            raise HttpError(400, "batch body needs a non-empty 'jobs' list")
+        try:
+            return specs, [job_from_spec(spec, index) for index, spec in enumerate(specs)]
+        except ManifestError as exc:
+            raise HttpError(400, str(exc)) from None
+
+    def _uptime(self) -> float:
+        return round(time.monotonic() - self._started, 3)
+
+    def _reject_if_draining(self) -> None:
+        if self._draining:
+            raise HttpError(503, f"{self.kind} is draining", {"Retry-After": "1"})
+
+
+class DiagnosisServer(HttpFrontEnd):
+    """Asyncio HTTP front end over a shared, warm fleet engine."""
+
+    def __init__(self, config: ServerConfig, engine: Optional[FleetEngine] = None):
+        super().__init__(config)
+        # The persistence plane is entirely optional: without --store the
+        # server is byte-identical to the in-memory-only build and none
+        # of repro.store is even imported.
+        self.tenants = None
+        self.quotas = None
+        if config.store:
+            from repro.store import DiagnosisStore, TenantRegistry, TokenBucketQuota
+
+            self.store = DiagnosisStore(config.store)
+            self.tenants = TenantRegistry(self.store)
+            # Store-backed token buckets: every replica sharing the file
+            # debits the same per-tenant budget (vs. the per-process
+            # fixed window of the storeless QuotaTracker).
+            self.quotas = TokenBucketQuota(self.store)
+            if config.lifecycle:
+                self.maintenance = self._maintenance(self.store)
+        self.engine = engine or FleetEngine(
+            workers=config.workers,
+            executor="thread",
+            retries=config.retries,
+            cache_size=config.cache_size,
+            supervisor=FleetSupervisor() if config.supervise else None,
+            fault_plan=FaultPlan.from_json(config.faults) if config.faults else None,
+            store=self.store,
+            disk_cache_size=config.disk_cache_size,
+        )
+        self.telemetry = self.engine.telemetry
+        self.admission = AdmissionQueue(config.workers, config.queue_size)
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.workers, thread_name_prefix="diagnose"
+        )
+        # Streams are long-lived; giving them their own executor keeps a
+        # saturated stream fleet from starving one-shot diagnose slots.
+        self._stream_executor = ThreadPoolExecutor(
+            max_workers=max(1, config.max_streams), thread_name_prefix="stream"
+        )
+        self._streams_active = 0
+        self._mean_job_seconds = 0.1  # EWMA; seeds the Retry-After estimate
+        self._io_seq = itertools.count(1)  # deterministic server.io chaos key
+
+    def _route_table(self) -> Dict[object, Dict[str, Handler]]:
+        return {
+            "/healthz": {"GET": self._get_health},
+            "/readyz": {"GET": self._get_ready},
+            "/metrics": {"GET": self._get_metrics},
+            "/v1/experience": {
+                "GET": self._get_experience,
+                "POST": self._handle_experience_merge,
+            },
+            "/v1/diagnose": {"POST": self._handle_diagnose},
+            "/v1/batch": {"POST": self._handle_batch},
+            # Only consulted for its methods: _dispatch hands the socket
+            # to _handle_stream before routing.
+            "/v1/stream": {"GET": self._handle_stream},
+            _TENANT_REPORT_RE: {"GET": self._handle_tenant_report},
+        }
+
+    def _describe(self) -> Dict[str, object]:
+        return {"workers": self.config.workers, "queue_size": self.config.queue_size}
+
+    async def _release(self, drained: bool) -> None:
+        self._executor.shutdown(wait=drained)
+        self._stream_executor.shutdown(wait=drained)
+
+    def _drain_stats(self) -> Dict[str, object]:
+        return {"admitted": self.admission.admitted, "rejected": self.admission.rejected}
+
+    def _load(self) -> Dict[str, int]:
+        return {"inflight": self._inflight, "queued": self.admission.waiting}
+
+    async def _dispatch(self, request: HttpRequest, writer) -> bool:
+        if request.path == "/v1/stream":
+            # SSE owns its writer (incremental frames, no Content-Length),
+            # so it bypasses the buffered request/response path entirely.
+            return await self._handle_stream(request, writer)
+        return await super()._dispatch(request, writer)
+
+    async def _route(self, request: HttpRequest, request_id: str) -> Reply:
+        # Chaos hook: an injected dispatch failure must surface as a
+        # structured 500 (the generic error reply) with the connection
+        # intact — exactly like a real handler bug.  Keyed on an arrival
+        # counter, so a sequential chaos client sees the same requests
+        # fail on every run.
+        faults.maybe_raise(
+            "server.io",
+            f"{request.method} {request.path}#{next(self._io_seq)}",
+        )
+        return await super()._route(request, request_id)
+
+    def _error_reply(
+        self, exc: Exception, request_id: str, headers: Dict[str, str]
+    ) -> Tuple[int, object]:
+        if isinstance(exc, QueueFullError):
+            headers["Retry-After"] = f"{exc.retry_after:g}"
+            return 503, error_payload(503, str(exc), request_id)
+        if isinstance(exc, asyncio.TimeoutError):
+            return 504, error_payload(
+                504, f"request exceeded the {self.config.timeout:g}s budget", request_id
+            )
+        return super()._error_reply(exc, request_id, headers)
+
+    # ------------------------------------------------------------------
+    # Routes
+    # ------------------------------------------------------------------
+    async def _get_health(self, request: HttpRequest, request_id: str) -> Reply:
+        return 200, {"status": "ok", "uptime_seconds": self._uptime()}, {}
+
+    async def _get_ready(self, request: HttpRequest, request_id: str) -> Reply:
+        if self._draining:
+            return 503, {"status": "draining"}, {}
+        ready: Dict[str, object] = {"status": "ready"}
+        if self.maintenance is not None:
+            ready["lifecycle"] = self.maintenance.snapshot()
+        return 200, ready, {}
+
+    async def _get_experience(self, request: HttpRequest, request_id: str) -> Reply:
+        return 200, self._experience_export(), {}
 
     # ------------------------------------------------------------------
     # Tenancy (auth middleware, quotas, reporting)
@@ -510,9 +648,9 @@ class DiagnosisServer:
                 {"Retry-After": f"{max(decision.retry_after, 0.001):.3f}"},
             )
 
-    def _handle_tenant_report(
+    async def _handle_tenant_report(
         self, request: HttpRequest, request_id: str, tenant_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
+    ) -> Reply:
         """Fleet-health report over the tenant's persisted history.
 
         Tenants read their *own* report: the request must authenticate
@@ -562,9 +700,6 @@ class DiagnosisServer:
             snapshot["seed_episode_count"] = seed_episodes
         return snapshot
 
-    def _uptime(self) -> float:
-        return round(time.monotonic() - self._started, 3)
-
     def _metrics(self, samples: bool = False) -> Dict:
         return {
             "server": {
@@ -589,21 +724,11 @@ class DiagnosisServer:
             "telemetry": self.telemetry.snapshot(samples=samples),
         }
 
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            raise HttpError(503, "server is draining", {"Retry-After": "1"})
-
-    async def _handle_diagnose(
-        self, request: HttpRequest, request_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
+    async def _handle_diagnose(self, request: HttpRequest, request_id: str) -> Reply:
         self._reject_if_draining()
         tenant = self._resolve_tenant(request)
         self._check_quota(tenant)
-        spec = request.json()
-        try:
-            job = job_from_spec(spec, index=0)
-        except ManifestError as exc:
-            raise HttpError(400, str(exc)) from None
+        _, job = self._decode_job(request)
         tracing = request.query.get("trace", "") in ("1", "true", "yes")
         ctx = RunContext.with_timeout(
             self.config.timeout, trace_id=request_id, tracing=tracing
@@ -622,9 +747,9 @@ class DiagnosisServer:
             return 504, payload, {}
         return 200, payload, {}
 
-    def _handle_experience_merge(
+    async def _handle_experience_merge(
         self, request: HttpRequest, request_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
+    ) -> Reply:
         """Gossip sink: merge a peer's experience delta into the engine.
 
         Accepts an :meth:`~repro.core.learning.ExperienceBase.to_dict`
@@ -648,22 +773,11 @@ class DiagnosisServer:
             "rules": len(self.engine.experience),
         }, {}
 
-    async def _handle_batch(
-        self, request: HttpRequest, request_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
+    async def _handle_batch(self, request: HttpRequest, request_id: str) -> Reply:
         self._reject_if_draining()
         tenant = self._resolve_tenant(request)
         self._check_quota(tenant)
-        body = request.json()
-        specs = body.get("jobs") if isinstance(body, dict) else body
-        if not isinstance(specs, list) or not specs:
-            raise HttpError(400, "batch body needs a non-empty 'jobs' list")
-        try:
-            jobs: List[DiagnosisJob] = [
-                job_from_spec(spec, index) for index, spec in enumerate(specs)
-            ]
-        except ManifestError as exc:
-            raise HttpError(400, str(exc)) from None
+        _, jobs = self._decode_batch(request)
         run = (
             functools.partial(self.engine.run_batch, tenant=tenant.tenant_id)
             if tenant is not None
@@ -697,8 +811,7 @@ class DiagnosisServer:
         request_id = self._request_id(request)
         started = time.perf_counter()
         try:
-            if request.method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
+            self._lookup(request)  # the route table's 405 for other methods
             self._reject_if_draining()
             self._check_quota(self._resolve_tenant(request))
             if self._streams_active >= self.config.max_streams:
@@ -863,106 +976,3 @@ def run(config: ServerConfig) -> int:
     server = DiagnosisServer(config)
     asyncio.run(server.serve())
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve", description="serve FLAMES diagnosis over HTTP/JSON"
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    parser.add_argument(
-        "--port", type=int, default=8080, help="bind port; 0 picks an ephemeral port"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="concurrent diagnosis slots (default 4)"
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=64,
-        help="requests allowed to wait for a slot before 503s (default 64)",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="result-cache capacity (default 1024)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request budget in seconds (default 30)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts for crashed jobs (default 1)",
-    )
-    parser.add_argument(
-        "--supervise", action="store_true",
-        help="engage the fleet supervisor (poison-job quarantine, worker "
-        "health eviction)",
-    )
-    parser.add_argument(
-        "--faults", default="",
-        help="JSON fault plan armed server-wide (chaos testing only); "
-        'e.g. \'{"seed": 0, "rules": [{"point": "server.io", "rate": 0.2}]}\'',
-    )
-    parser.add_argument(
-        "--max-streams", type=int, default=4,
-        help="concurrent /v1/stream connections (default 4)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=5.0,
-        help="SSE keep-alive cadence in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--store", default="",
-        help="sqlite persistence-plane path (durable cache + experience, "
-        "tenant auth/quotas, diagnosis history); default: in-memory only",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=60.0,
-        help="store WAL checkpoint cadence in seconds, jittered (default 60; 0 never)",
-    )
-    parser.add_argument(
-        "--retain-history", type=float, default=30.0, metavar="DAYS",
-        help="drop history rows older than DAYS (default 30; 0 keeps forever)",
-    )
-    parser.add_argument(
-        "--retain-history-rows", type=int, default=100_000, metavar="N",
-        help="keep at most N history rows (default 100000; 0 unbounded)",
-    )
-    parser.add_argument(
-        "--retain-cache", type=float, default=0.0, metavar="DAYS",
-        help="drop cache rows older than DAYS (default 0: row bound only)",
-    )
-    parser.add_argument(
-        "--no-lifecycle", action="store_true",
-        help="skip the store maintenance loop (cluster replicas: the "
-        "gateway checkpoints the shared file instead)",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
-    try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            cache_size=args.cache_size,
-            timeout=args.timeout,
-            retries=args.retries,
-            supervise=args.supervise,
-            faults=args.faults,
-            max_streams=args.max_streams,
-            heartbeat=args.heartbeat,
-            store=args.store,
-            lifecycle=not args.no_lifecycle,
-            checkpoint_interval=args.checkpoint_interval,
-            retain_history_days=args.retain_history,
-            retain_history_rows=args.retain_history_rows,
-            retain_cache_days=args.retain_cache,
-        )
-    except ValueError as exc:
-        print(f"bad server options: {exc}", flush=True)
-        return 2
-    return run(config)

@@ -18,7 +18,12 @@ from repro.cluster import ClusterConfig, ClusterGateway, StaticFleet
 from repro.resilience import FaultPlan, faults
 from repro.server import ClientError, DiagnosisClient
 from repro.service import job_from_spec
-from tests.server.test_server import NETLIST, RunningServer
+from tests.server.test_server import (
+    NETLIST,
+    RunningServer,
+    check_route_errors,
+    raw_request,
+)
 
 
 def make_spec(index, confirm=None):
@@ -118,10 +123,20 @@ class TestGatewayBasics:
     def test_unknown_route_404(self):
         with RunningServer() as b0:
             with RunningCluster([b0]) as rc:
-                with rc.client(retries=0) as client:
-                    with pytest.raises(ClientError) as err:
-                        client._request("GET", "/nope")
-                    assert err.value.status == 404
+                check_route_errors(rc.gateway.port, [
+                    ("GET", "/nope", 404, None),
+                    ("GET", "/v1/stream", 404, None),
+                    ("POST", "/v1/stream", 404, None),
+                    ("GET", "/v1/tenants/acme/report", 404, None),
+                    ("POST", "/healthz", 405, "GET"),
+                    ("POST", "/readyz", 405, "GET"),
+                    ("DELETE", "/metrics", 405, "GET"),
+                    ("POST", "/v1/experience", 405, "GET"),
+                    ("GET", "/v1/diagnose", 405, "POST"),
+                    ("GET", "/v1/batch", 405, "POST"),
+                ])
+                _, headers, _ = raw_request(rc.gateway.port, "GET", "/nope")
+        assert headers["x-request-id"].startswith("gw-")
 
     def test_bad_spec_is_a_gateway_400(self):
         with RunningServer() as b0:
@@ -171,6 +186,21 @@ class TestRouting:
                 counters = rc.counters()
                 assert counters.get("ring_failovers", 0) >= 1
                 assert counters.get("routed.r1") == 1
+
+
+    def test_request_id_reaches_the_replica(self):
+        # The replica adopts the forwarded id as its request and trace id,
+        # so gateway and replica logs join on it.
+        with RunningServer() as b0:
+            with RunningCluster([b0]) as rc:
+                status, headers, payload = raw_request(
+                    rc.gateway.port, "POST", "/v1/diagnose?trace=1",
+                    body=json.dumps(make_spec(0)),
+                    headers={"X-Request-Id": "join-1", "Content-Type": "application/json"},
+                )
+        assert status == 200
+        assert headers["x-request-id"] == payload["request_id"] == "join-1"
+        assert payload["trace"]["trace_id"] == "join-1"
 
 
 class TestBatchSharding:

@@ -80,6 +80,33 @@ class RunningServer:
         return DiagnosisClient(port=self.server.port, **kwargs)
 
 
+def raw_request(port, method, path, body=b"", headers=None):
+    """One request over a fresh connection → (status, lower-cased headers, JSON)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        return response.status, {k.lower(): v for k, v in response.getheaders()}, payload
+    finally:
+        conn.close()
+
+
+def check_route_errors(port, cases):
+    """Each ``(method, path, status, allow)`` gets that 404/405 error reply."""
+    for method, path, status, allow in cases:
+        got, headers, payload = raw_request(port, method, path)
+        case = f"{method} {path}"
+        assert got == status, case
+        assert headers.get("allow") == allow, case
+        if allow is None:
+            assert payload["error"]["message"] == f"no route {path!r}", case
+        else:
+            message = "use " + allow.replace(", ", " or ")
+            assert payload["error"]["message"] == message, case
+        assert payload["error"]["request_id"] == headers["x-request-id"], case
+
+
 def gated_engine(workers=1):
     """An engine whose run_job blocks until the test releases it."""
     engine = FleetEngine(workers=workers, executor="thread")
@@ -108,13 +135,18 @@ class TestProbesAndMetrics:
 
     def test_unknown_route_404_and_wrong_method_405(self):
         with RunningServer() as rs:
-            with rs.client(retries=0) as client:
-                with pytest.raises(ClientError) as err:
-                    client._request("GET", "/nope")
-                assert err.value.status == 404
-                with pytest.raises(ClientError) as err:
-                    client._request("POST", "/healthz", {"x": 1})
-                assert err.value.status == 405
+            check_route_errors(rs.server.port, [
+                ("GET", "/nope", 404, None),
+                ("POST", "/nope", 404, None),
+                ("POST", "/healthz", 405, "GET"),
+                ("POST", "/readyz", 405, "GET"),
+                ("DELETE", "/metrics", 405, "GET"),
+                ("PUT", "/v1/experience", 405, "GET, POST"),
+                ("GET", "/v1/diagnose", 405, "POST"),
+                ("GET", "/v1/batch", 405, "POST"),
+                ("POST", "/v1/tenants/acme/report", 405, "GET"),
+                ("POST", "/v1/stream", 405, "GET"),
+            ])
 
     def test_request_id_header_present(self):
         with RunningServer() as rs:
@@ -459,6 +491,32 @@ class TestRequestIds:
         assert len(ids) == 3  # two 503s retried, then success
         assert len(set(ids)) == 1, "retry attempts must share one request id"
         assert ids[0].startswith("cli-")
+
+
+class TestTracingHooks:
+    def test_diagnose_reads_and_decodes_through_app_module_globals(self, monkeypatch):
+        # The benchmark tracer wraps these two names on repro.server.app;
+        # the server must look them up there at call time.
+        from repro.server import app
+
+        calls = {"read_request": 0, "job_from_spec": 0}
+        read_request, job_from_spec = app.read_request, app.job_from_spec
+
+        async def counted_read(*args, **kwargs):
+            calls["read_request"] += 1
+            return await read_request(*args, **kwargs)
+
+        def counted_decode(*args, **kwargs):
+            calls["job_from_spec"] += 1
+            return job_from_spec(*args, **kwargs)
+
+        monkeypatch.setattr(app, "read_request", counted_read)
+        monkeypatch.setattr(app, "job_from_spec", counted_decode)
+        with RunningServer() as rs:
+            with rs.client() as client:
+                assert client.diagnose(HEALTHY_SPEC)["status"] == "ok"
+        assert calls["read_request"] >= 1
+        assert calls["job_from_spec"] == 1
 
 
 class TestGracefulDrain:

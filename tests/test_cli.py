@@ -206,3 +206,103 @@ class TestCorpus:
         code = main(["corpus", "generate", "--classes", "nonsense"])
         assert code == 2
         assert "bad corpus recipe" in capsys.readouterr().err
+
+
+class TestServeAndClusterFlags:
+    """Each serve/cluster flag lands on its config field; ``run`` is faked."""
+
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        from repro.cluster import gateway
+        from repro.server import app
+
+        configs = []
+
+        def fake_run(config):
+            configs.append(config)
+            return 0
+
+        monkeypatch.setattr(app, "run", fake_run)
+        monkeypatch.setattr(gateway, "run", fake_run)
+        return configs
+
+    def test_serve_defaults(self, captured):
+        from repro.server import ServerConfig
+
+        assert main(["serve"]) == 0
+        assert captured == [ServerConfig()]
+
+    def test_serve_flags_map_to_server_config(self, captured, tmp_path):
+        store = str(tmp_path / "s.db")
+        plan = '{"seed": 3, "rules": [{"point": "server.io", "rate": 0.5}]}'
+        assert main([
+            "serve", "--host", "0.0.0.0", "--port", "0", "--workers", "3",
+            "--queue-size", "5", "--cache-size", "7", "--timeout", "2.5",
+            "--retries", "0", "--max-streams", "2", "--heartbeat", "0.5",
+            "--supervise", "--faults", plan, "--store", store, "--no-lifecycle",
+            "--checkpoint-interval", "9", "--retain-history", "4",
+            "--retain-history-rows", "11", "--retain-cache", "1.5",
+        ]) == 0
+        (config,) = captured
+        assert (config.host, config.port, config.workers) == ("0.0.0.0", 0, 3)
+        assert (config.queue_size, config.cache_size) == (5, 7)
+        assert (config.timeout, config.retries) == (2.5, 0)
+        assert (config.max_streams, config.heartbeat) == (2, 0.5)
+        assert config.supervise and config.faults == plan
+        assert config.store == store and config.lifecycle is False
+        assert config.checkpoint_interval == 9.0
+        assert config.retain_history_days == 4.0
+        assert config.retain_history_rows == 11
+        assert config.retain_cache_days == 1.5
+
+    def test_cluster_flags_map_to_cluster_config(self, captured, tmp_path):
+        store = str(tmp_path / "s.db")
+        plan = '{"seed": 1, "rules": [{"point": "cluster.gossip_drop", "rate": 1.0}]}'
+        replica_plan = '{"seed": 2, "rules": [{"point": "server.io", "rate": 0.1}]}'
+        assert main([
+            "cluster", "--port", "0", "--replicas", "3", "--vnodes", "8",
+            "--workers", "1", "--queue-size", "4", "--cache-size", "6",
+            "--timeout", "3", "--retries", "2", "--poll-interval", "0.5",
+            "--gossip-interval", "0.25", "--supervise", "--faults", plan,
+            "--replica-faults", replica_plan, "--store", store,
+            "--checkpoint-interval", "5", "--retain-history", "2",
+            "--retain-history-rows", "10", "--retain-cache", "1",
+        ]) == 0
+        (config,) = captured
+        assert (config.port, config.replicas, config.vnodes) == (0, 3, 8)
+        assert (config.workers, config.queue_size, config.cache_size) == (1, 4, 6)
+        assert (config.timeout, config.retries) == (3.0, 2)
+        assert (config.poll_interval, config.gossip_interval) == (0.5, 0.25)
+        assert config.supervise and config.faults == plan
+        assert config.replica_faults == replica_plan
+        assert config.store == store and config.checkpoint_interval == 5.0
+        assert config.retain_history_days == 2.0
+        assert config.retain_history_rows == 10
+        assert config.retain_cache_days == 1.0
+
+    def test_replica_argv_rebuilds_the_replica_config(self, captured, tmp_path):
+        from repro.cluster import ClusterConfig
+        from repro.server.flags import config_argv
+
+        plan = '{"seed": 2, "rules": [{"point": "server.io", "rate": 0.1}]}'
+        replica = ClusterConfig(
+            workers=3, timeout=2.5, retries=0, supervise=True,
+            replica_faults=plan, store=str(tmp_path / "s.db"),
+        ).replica_config()
+        assert main(["serve", *config_argv(replica)]) == 0
+        assert captured == [replica]
+        assert replica.port == 0 and replica.lifecycle is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--timeout", "0"], ["--queue-size", "-1"], ["--workers", "0"]],
+    )
+    def test_bad_replica_settings_exit_two_before_spawning(self, captured, flags, capsys):
+        assert main(["cluster", "--port", "0", "--replicas", "1", *flags]) == 2
+        assert "bad cluster options" in capsys.readouterr().out
+        assert captured == []
+
+    def test_bad_server_settings_exit_two(self, captured, capsys):
+        assert main(["serve", "--timeout", "0"]) == 2
+        assert "bad server options" in capsys.readouterr().out
+        assert captured == []
